@@ -128,9 +128,12 @@ pub fn obs_with_args(args: &[String]) -> String {
 fn prover_section(out: &mut String) -> (String, String) {
     let mut rng = StdRng::seed_from_u64(PROVE_SEED);
     let (circuit, witness) = Circuit::random(GateSystem::Jellyfish, PROVE_MU, 0.5, &mut rng);
+    // Keygen's MSM workers record too: run it under the guard so it
+    // cannot spill into a session recording on another thread (the test
+    // harness runs experiments concurrently).
+    let guard = tele_guard();
     let (pk, vk) = setup(circuit, &mut rng);
 
-    let guard = tele_guard();
     tele::reset();
     tele::set_enabled(true);
     let start = Instant::now();
@@ -243,10 +246,11 @@ fn prover_section(out: &mut String) -> (String, String) {
 }
 
 /// One deterministic 2^12-point MSM, recorded in its own profiler
-/// session. The prove above commits 2^10-point columns, which stay on
-/// the narrow-window projective path; 2^12 points cross the
-/// batched-affine threshold, so the batch-inverse pass counter and the
-/// wide-window occupancy shape land in the golden output too.
+/// session. The prove above commits 2^10-point columns, which take the
+/// batched-affine path too (it starts at 2^8 points) but with 64-bucket
+/// windows and sparse witness columns; this dense probe adds the
+/// 256-bucket occupancy shape and its batch-inverse pass count to the
+/// golden output.
 fn msm_probe(out: &mut String) {
     let n = 1usize << 12;
     let g = G1Affine::generator();

@@ -269,6 +269,9 @@ fn chain_points(n: usize) -> Vec<G1Affine> {
 }
 
 fn msm_section(smoke: bool, records: &mut Vec<PerfRecord>, out: &mut String) {
+    // MSM workers flush their telemetry buffers when they exit; keep
+    // them out of a session another test thread may be recording.
+    let _guard = tele_guard();
     let log_sizes: &[u32] = if smoke { &[8, 10] } else { &[12, 14, 16, 18] };
     let threads = available_threads() as u64;
     let max_n = 1usize << log_sizes.last().copied().unwrap_or(8);

@@ -6,13 +6,17 @@
 //! * [`msm`] / [`msm_with_ops`] — the production path: **signed-digit**
 //!   windows (digits in `[-2^(c-1), 2^(c-1)]`, halving the bucket count
 //!   versus unsigned windows because `-P` is a free y-negation) with
-//!   **batched-affine** bucket accumulation — bucket updates are performed
-//!   in affine coordinates, with every inversion in a pass amortized
-//!   through one [`zkphire_field::batch_inverse`] call. A scheduler defers
-//!   colliding bucket indices to the next pass so each pass touches every
-//!   bucket at most once. This is the same constant-factor structure SZKP
-//!   and cuZK exploit and the shape the paper's streamed MSM unit
-//!   pipelines.
+//!   **batched-affine** bucket accumulation — a window's points are
+//!   counting-sorted by bucket, then every bucket is collapsed by a
+//!   pair-reduction tree of affine additions, in place, with all the
+//!   inversions of a pass amortized through one
+//!   [`zkphire_field::batch_inverse_with_scratch`] call. This is the
+//!   same constant-factor structure SZKP and cuZK exploit and the shape
+//!   the paper's streamed MSM unit pipelines. It runs from 2^4 buckets
+//!   per window up, i.e. for every `n ≥ 2^8` — all the commit and
+//!   opening MSMs of a 2^10-row prove but the last few quotients; the
+//!   handful of buckets of a smaller MSM accumulate in projective
+//!   coordinates (`BATCHED_AFFINE_MIN_BUCKETS` carries the measurement).
 //! * [`msm_unsigned_with_ops`] — the previous unsigned-window path with one
 //!   projective mixed-add per streamed pair, kept as the regression
 //!   baseline the `repro perf` harness compares against.
@@ -24,7 +28,7 @@
 //! bit-identical regardless of the worker-thread count.
 
 use crate::g1::{G1Affine, G1Projective};
-use zkphire_field::{batch_inverse, Fq, Fr};
+use zkphire_field::{batch_inverse_with_scratch, Fq, Fr};
 use zkphire_telemetry as tele;
 
 /// Operation counts for one MSM, used to validate the hardware MSM model.
@@ -206,12 +210,23 @@ fn recode_signed(limbs: &[u64; 4], window_bits: u32, out: &mut [i32]) {
     debug_assert_eq!(carry, 0, "top window must absorb the final carry");
 }
 
-/// Batched-affine accumulation amortizes one field inversion over a pass
-/// of independent affine additions; the scheduling only pays off once a
-/// window has this many buckets (2^8 ⇒ n ≥ 2^12 under
-/// [`optimal_window_bits`]). Narrower windows accumulate in projective
-/// coordinates instead — still with signed digits and half the buckets.
-const BATCHED_AFFINE_MIN_BUCKETS: usize = 1 << 8;
+/// Smallest bucket count per window at which buckets accumulate by
+/// batched-affine pair-reduction (2^4 buckets ⇒ n ≥ 2^8 under
+/// [`optimal_window_bits`]); narrower windows accumulate in projective
+/// coordinates — still signed digits, half the buckets.
+///
+/// An affine add whose inversion is amortized costs ≈ 5M+1S against the
+/// mixed add's 7M+4S, and a pass pays one `Fq::inverse` (≈ 55 `Fq` muls
+/// since the binary-GCD inversion), so a pass breaks even at about a
+/// dozen pairs. Measured single-thread, whole MSM, batched vs projective
+/// (2-vCPU host, rustc 1.95; table in `docs/PERF.md`, "Bucket-path
+/// crossover"): dense scalars 2^8 7.4 vs 10.3 ms, 2^9 11.7 vs 17.2,
+/// 2^11 33.9 vs 52.6; ~32 %-dense witness columns 2^8 3.6 vs 4.1 ms.
+/// The 8-bucket windows below (2^5 ≤ n < 2^8) are reduction-bound and
+/// split: batched wins dense at 2^6–2^7 but loses sparse, and at n = 2^5
+/// — the service's mu = 5 proofs — loses both (dense 2.2 vs 2.05 ms,
+/// sparse 1.03 vs 0.86 ms). So they stay projective.
+const BATCHED_AFFINE_MIN_BUCKETS: usize = 1 << 4;
 
 /// Reusable per-worker buffers for one window's bucket accumulation —
 /// allocated once per worker and recycled across windows instead of
@@ -233,26 +248,30 @@ struct BucketArena {
     /// Buckets still holding ≥ 2 points (current / next pass).
     active: Vec<u32>,
     next_active: Vec<u32>,
-    /// Pairs scheduled this pass: `(bucket, a, b)`.
-    pairs: Vec<(u32, G1Affine, G1Affine)>,
-    /// Slope denominators for `pairs` (batch-inverted in place).
+    /// Slope denominators of this pass's pairs, bucket-major
+    /// (batch-inverted in place).
     denoms: Vec<Fq>,
+    /// Prefix-product scratch for the batch inversion.
+    inv_scratch: Vec<Fq>,
 }
 
 impl BucketArena {
     fn new(window_bits: u32, n_hint: usize) -> Self {
         let bucket_count = 1usize << (window_bits - 1);
         let batched = bucket_count >= BATCHED_AFFINE_MIN_BUCKETS;
+        // Each scheme sizes only its own buffers, up front: a window has
+        // at most `n_hint` points, hence `n_hint / 2` pairs in a pass.
+        let sized = |len: usize| if batched { len } else { 0 };
         Self {
             batched,
             proj_buckets: vec![G1Projective::identity(); if batched { 0 } else { bucket_count }],
-            sorted: Vec::with_capacity(if batched { n_hint } else { 0 }),
-            starts: vec![0; if batched { bucket_count + 1 } else { 0 }],
-            lens: vec![0; if batched { bucket_count } else { 0 }],
-            active: Vec::new(),
-            next_active: Vec::new(),
-            pairs: Vec::new(),
-            denoms: Vec::new(),
+            sorted: Vec::with_capacity(sized(n_hint)),
+            starts: vec![0; sized(bucket_count + 1)],
+            lens: vec![0; sized(bucket_count)],
+            active: Vec::with_capacity(sized(bucket_count)),
+            next_active: Vec::with_capacity(sized(bucket_count)),
+            denoms: Vec::with_capacity(sized(n_hint / 2)),
+            inv_scratch: Vec::with_capacity(sized(n_hint / 2)),
         }
     }
 }
@@ -380,44 +399,39 @@ fn window_sum_signed(
     let mut inverse_passes = 0u64;
     while !arena.active.is_empty() {
         inverse_passes += 1;
-        arena.pairs.clear();
         arena.denoms.clear();
         for &b in &arena.active {
             let s = arena.starts[b as usize] as usize;
             let l = arena.lens[b as usize] as usize;
-            for i in 0..l / 2 {
-                let a = arena.sorted[s + 2 * i];
-                let c = arena.sorted[s + 2 * i + 1];
+            for pair in arena.sorted[s..s + l].chunks_exact(2) {
+                let (a, c) = (&pair[0], &pair[1]);
                 // λ denominator: x2 - x1 for distinct x, 2y for doubling;
-                // zero marks cancellation (batch_inverse skips zeros and
-                // the apply step never reads the placeholder).
-                let denom = if a.x != c.x {
+                // zero marks cancellation (the batch inversion skips zeros
+                // and the apply step never reads the placeholder).
+                arena.denoms.push(if a.x != c.x {
                     c.x - a.x
                 } else if a.y == c.y {
                     a.y.double()
                 } else {
                     Fq::ZERO
-                };
-                arena.pairs.push((b, a, c));
-                arena.denoms.push(denom);
+                });
             }
         }
-        batch_inverse(&mut arena.denoms);
+        batch_inverse_with_scratch(&mut arena.denoms, &mut arena.inv_scratch);
 
-        // Apply bucket-by-bucket (`pairs` is bucket-major), compacting
-        // each segment: pair results first, odd leftover appended.
+        // Apply in the same bucket-major order, in place: pair `i` of a
+        // segment lands at slot `≤ i`, behind every pair still unread, so
+        // each segment compacts as it goes — sums first, odd leftover last.
         arena.next_active.clear();
-        let mut pair_idx = 0usize;
+        let mut inverses = arena.denoms.iter();
         for &b in &arena.active {
             let s = arena.starts[b as usize] as usize;
             let l = arena.lens[b as usize] as usize;
             let mut write = 0usize;
-            for _ in 0..l / 2 {
-                let (_, a, c) = arena.pairs[pair_idx];
-                let inv = &arena.denoms[pair_idx];
-                pair_idx += 1;
+            for (i, inv) in inverses.by_ref().take(l / 2).enumerate() {
                 ops.bucket_adds += 1;
-                if let Some(sum) = affine_add_with_inv(&a, &c, inv) {
+                let (a, c) = (&arena.sorted[s + 2 * i], &arena.sorted[s + 2 * i + 1]);
+                if let Some(sum) = affine_add_with_inv(a, c, inv) {
                     arena.sorted[s + write] = sum;
                     write += 1;
                 }
@@ -630,12 +644,11 @@ mod tests {
 
     #[test]
     fn batched_affine_path_matches_unsigned() {
-        // n = 4096 gives 9-bit windows (256 buckets), the smallest size
-        // where the batched-affine pair-reduction scheduler activates —
-        // every other test in this suite stays on the narrow-window
-        // projective path. Points come from a generator chain (cheap to
-        // build) and scalars mix dense randoms with zeros and duplicates
-        // so buckets both collide and cancel.
+        // A 2^12-point instance on the batched-affine path (every test
+        // here from n = 2^8 up takes it; the crossover sweep lives in
+        // `tests/tests/prover_hot_path.rs`). Points come from a generator
+        // chain (cheap to build) and scalars mix dense randoms with zeros
+        // and duplicates so buckets both collide and cancel.
         let n = 4096;
         let g = G1Affine::generator();
         let mut acc = G1Projective::from(g);

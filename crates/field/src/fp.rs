@@ -15,6 +15,7 @@ use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use rand::Rng;
 
 use crate::arith;
+use crate::inverse::bingcd_inverse;
 
 /// Compile-time description of a prime field.
 ///
@@ -354,20 +355,33 @@ impl<P: FieldParams<N>, const N: usize> Fp<P, N> {
 
     /// Computes the multiplicative inverse, or `None` for zero.
     ///
-    /// Uses Fermat's little theorem (`a^(p-2)`); prefer
+    /// Runs Pornin's binary GCD on word-sized approximations (described
+    /// in `inverse.rs`) — several times faster than a Fermat
+    /// exponentiation, but **variable-time**: use it on public,
+    /// prover-side values only. Prefer
     /// [`batch_inverse`](crate::batch_inverse) when inverting many elements —
     /// that is exactly the trade the paper's ModInv unit makes (§IV-B5).
     pub fn inverse(&self) -> Option<Self> {
-        if self.is_zero() {
-            return None;
-        }
+        const { assert!(P::MODULUS_BITS < 64 * N as u32) };
+        // scale = R^2 makes the result the Montgomery form of 1/self.
+        let limbs = bingcd_inverse(&self.limbs, &P::R2, &P::MODULUS, P::INV, P::MODULUS_BITS)?;
+        Some(Self {
+            limbs,
+            _params: PhantomData,
+        })
+    }
+
+    /// `self^(p-2)`: the inverse by Fermat's little theorem (`0` for zero),
+    /// the oracle [`inverse`](Self::inverse) is tested against.
+    #[cfg(test)]
+    pub(crate) fn inverse_fermat(&self) -> Self {
         let two = {
             let mut l = [0u64; N];
             l[0] = 2;
             l
         };
         let (exp, _) = arith::sub_limbs(&P::MODULUS, &two);
-        Some(self.pow(&exp))
+        self.pow(&exp)
     }
 
     /// Samples a uniformly random field element.

@@ -26,7 +26,9 @@ mod fp;
 mod inverse;
 
 pub use fp::{FieldParams, Fp};
-pub use inverse::{batch_inverse, batch_inverse_count_ops, BatchInverseOps};
+pub use inverse::{
+    batch_inverse, batch_inverse_count_ops, batch_inverse_with_scratch, BatchInverseOps,
+};
 
 /// Marker type carrying the BLS12-381 scalar-field modulus.
 ///
@@ -195,6 +197,68 @@ mod tests {
     fn ordering_is_canonical() {
         assert!(Fr::from_u64(2) < Fr::from_u64(3));
         assert!(-Fr::ONE > Fr::from_u64(1_000_000));
+    }
+
+    /// Checks `inverse` against the Fermat oracle and the defining
+    /// identity on one element.
+    fn assert_inverse_matches_fermat<P: FieldParams<N>, const N: usize>(a: Fp<P, N>) {
+        if a.is_zero() {
+            assert!(a.inverse().is_none());
+            return;
+        }
+        let inv = a.inverse().expect("non-zero");
+        assert_eq!(inv, a.inverse_fermat(), "{a:?}");
+        assert_eq!(a * inv, Fp::ONE, "{a:?}");
+    }
+
+    fn inverse_edge_cases<P: FieldParams<N>, const N: usize>() {
+        assert!(Fp::<P, N>::ZERO.inverse().is_none());
+        assert_eq!(Fp::<P, N>::ONE.inverse(), Some(Fp::ONE));
+        assert_eq!((-Fp::<P, N>::ONE).inverse(), Some(-Fp::ONE));
+        let mut cases = vec![Fp::<P, N>::from_u64(2), -Fp::from_u64(2)];
+        // Small values and their negatives (p - 1, p - 2, ...).
+        for k in 1..=300u64 {
+            cases.push(Fp::from_u64(k));
+            cases.push(-Fp::from_u64(k));
+        }
+        // Single bits and all-ones runs at every position below the modulus.
+        for bit in 0..P::MODULUS_BITS - 1 {
+            let mut limbs = [0u64; N];
+            limbs[(bit / 64) as usize] = 1 << (bit % 64);
+            let pow2 = Fp::<P, N>::from_canonical_limbs(limbs).expect("below the modulus");
+            cases.push(pow2);
+            cases.push(pow2 - Fp::ONE);
+            cases.push(pow2 + Fp::ONE);
+        }
+        // The Montgomery constants, read both as canonical and as
+        // Montgomery limbs.
+        for limbs in [P::R, P::R2] {
+            cases.push(Fp::from_montgomery_limbs(limbs));
+            cases.push(Fp::from_canonical_limbs(limbs).expect("R, R^2 are reduced"));
+        }
+        for a in cases {
+            assert_inverse_matches_fermat(a);
+        }
+    }
+
+    #[test]
+    fn inverse_matches_fermat_on_edge_cases() {
+        inverse_edge_cases::<FrParams, 4>();
+        inverse_edge_cases::<FqParams, 6>();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn fr_inverse_matches_fermat(a in arb_fr()) {
+            assert_inverse_matches_fermat(a);
+        }
+
+        #[test]
+        fn fq_inverse_matches_fermat(a in arb_fq()) {
+            assert_inverse_matches_fermat(a);
+        }
     }
 
     proptest! {

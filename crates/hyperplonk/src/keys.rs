@@ -11,6 +11,7 @@ use zkphire_poly::Mle;
 
 use crate::circuit::{Circuit, GateSystem};
 use crate::permutation::sigma_mles;
+use crate::prover::ProverConfig;
 
 /// Everything the prover needs: the circuit, the SRS, and preprocessed
 /// wiring polynomials.
@@ -44,17 +45,33 @@ pub struct VerifyingKey {
     pub pcs_verifier: TrapdoorVerifier,
 }
 
-/// Runs setup + preprocessing for a circuit.
+/// Runs setup + preprocessing for a circuit, committing the selector and
+/// σ columns on every available core.
 pub fn setup<R: Rng + ?Sized>(circuit: Circuit, rng: &mut R) -> (ProvingKey, VerifyingKey) {
+    setup_with_threads(circuit, rng, ProverConfig::default().threads)
+}
+
+/// [`setup`] with an explicit MSM worker-thread count; the keys do not
+/// depend on it.
+pub fn setup_with_threads<R: Rng + ?Sized>(
+    circuit: Circuit,
+    rng: &mut R,
+    threads: usize,
+) -> (ProvingKey, VerifyingKey) {
     let (pcs, pcs_verifier) = MultilinearKzg::setup(circuit.num_vars, rng);
     let sigmas = sigma_mles(
         &circuit.sigma,
         circuit.system.num_witness_columns(),
         circuit.num_vars,
     );
-    let selector_commitments: Vec<Commitment> =
-        circuit.selectors.iter().map(|s| pcs.commit(s)).collect();
-    let sigma_commitments: Vec<Commitment> = sigmas.iter().map(|s| pcs.commit(s)).collect();
+    let commit_all = |columns: &[Mle]| -> Vec<Commitment> {
+        columns
+            .iter()
+            .map(|c| pcs.commit_with_threads(c, threads))
+            .collect()
+    };
+    let selector_commitments = commit_all(&circuit.selectors);
+    let sigma_commitments = commit_all(&sigmas);
 
     let vk = VerifyingKey {
         system: circuit.system,

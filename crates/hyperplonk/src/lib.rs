@@ -36,7 +36,7 @@ mod verifier;
 
 pub use circuit::{Circuit, GateSystem, Witness};
 pub use codec::DecodeError;
-pub use keys::{setup, ProvingKey, VerifyingKey};
+pub use keys::{setup, setup_with_threads, ProvingKey, VerifyingKey};
 pub use permutation::{
     build_permutation_data, id_eval, index_point, root_index, sigma_mles, PermutationData,
 };

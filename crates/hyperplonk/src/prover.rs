@@ -61,8 +61,9 @@ pub(crate) fn bind_statement(
 /// bit-identical for every configuration).
 #[derive(Clone, Copy, Debug)]
 pub struct ProverConfig {
-    /// Worker threads for the SumCheck rounds, MLE folds, and the MLE
-    /// Combine. `1` forces the sequential reference path.
+    /// Worker threads for the commit/open MSMs, the SumCheck rounds, MLE
+    /// folds, and the MLE Combine. `1` forces the sequential reference
+    /// path.
     pub threads: usize,
 }
 
@@ -123,7 +124,7 @@ pub fn prove_with_config(
             .iter()
             .map(|c| {
                 let _w = tele::span("prove/witness_commit/column");
-                pk.pcs.commit(c)
+                pk.pcs.commit_with_threads(c, threads)
             })
             .collect()
     };
@@ -153,10 +154,10 @@ pub fn prove_with_config(
     let gamma = transcript.challenge_fr(b"hyperplonk/gamma");
     let perm = build_permutation_data(&witness.columns, &pk.circuit.sigma, beta, gamma);
     let perm_commitments = [
-        pk.pcs.commit(&perm.phi),
-        pk.pcs.commit(&perm.pi),
-        pk.pcs.commit(&perm.p1),
-        pk.pcs.commit(&perm.p2),
+        pk.pcs.commit_with_threads(&perm.phi, threads),
+        pk.pcs.commit_with_threads(&perm.pi, threads),
+        pk.pcs.commit_with_threads(&perm.p1, threads),
+        pk.pcs.commit_with_threads(&perm.p2, threads),
     ];
     for c in &perm_commitments {
         transcript.append_bytes(b"hyperplonk/perm", &c.to_bytes());
@@ -232,7 +233,7 @@ pub fn prove_with_config(
     };
     let (opening, opening_value) = {
         let _s = tele::span("prove/opening/pcs_open");
-        pk.pcs.open(&g, &r_star)
+        pk.pcs.open_with_threads(&g, &r_star, threads)
     };
     drop(opening_span);
 

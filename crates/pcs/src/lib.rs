@@ -34,7 +34,7 @@
 //! ```
 
 use rand::Rng;
-use zkphire_curve::{batch_normalize, msm, G1Affine, G1Projective};
+use zkphire_curve::{batch_normalize, msm, msm_with_ops_threads, G1Affine, G1Projective};
 use zkphire_field::Fr;
 use zkphire_poly::Mle;
 use zkphire_telemetry as tele;
@@ -95,35 +95,22 @@ impl MultilinearKzg {
     /// Builds the SRS from an explicit secret (deterministic tests).
     pub fn from_tau(tau: &[Fr]) -> Self {
         let num_vars = tau.len();
-        let g = G1Projective::generator();
-        // Fixed-base table: g * 2^i for fast repeated scalar mults.
-        let mut pow2 = Vec::with_capacity(256);
-        let mut acc = g;
-        for _ in 0..256 {
-            pow2.push(acc);
-            acc = acc.double();
+        // Level 0 pays one fixed-base scalar multiplication per point.
+        // Every later level is the previous one with its first (LSB)
+        // variable summed out — eq(τ_j; 0) + eq(τ_j; 1) = 1, so
+        // levels[j+1][b] = levels[j][2b] + levels[j][2b+1] — one point
+        // addition per point, and one batched inversion per level to
+        // return to affine.
+        let mut level = FixedBaseTable::new().commit_basis(&Mle::eq_table(tau));
+        let mut levels = Vec::with_capacity(num_vars + 1);
+        for _ in 0..num_vars {
+            let folded: Vec<G1Projective> = level
+                .chunks_exact(2)
+                .map(|pair| G1Projective::from(pair[0]).add_mixed(&pair[1]))
+                .collect();
+            levels.push(std::mem::replace(&mut level, batch_normalize(&folded)));
         }
-        let fixed_base_mul = |s: &Fr| -> G1Projective {
-            let limbs = s.to_canonical_limbs();
-            let mut out = G1Projective::identity();
-            for (i, table_entry) in pow2.iter().enumerate() {
-                if (limbs[i / 64] >> (i % 64)) & 1 == 1 {
-                    out += *table_entry;
-                }
-            }
-            out
-        };
-
-        let levels = (0..=num_vars)
-            .map(|j| {
-                let eq = Mle::eq_table(&tau[j..]);
-                // One batched inversion per level instead of one full
-                // inversion per SRS point.
-                let projective: Vec<G1Projective> =
-                    eq.evals().iter().map(&fixed_base_mul).collect();
-                batch_normalize(&projective)
-            })
-            .collect();
+        levels.push(level);
         Self { num_vars, levels }
     }
 
@@ -132,27 +119,47 @@ impl MultilinearKzg {
         self.num_vars
     }
 
-    /// Commits to an MLE with a Lagrange-basis MSM.
+    /// Commits to an MLE with a Lagrange-basis MSM on every available
+    /// core ([`commit_with_threads`](Self::commit_with_threads) lets the
+    /// caller decide).
     ///
     /// # Panics
     ///
     /// Panics if the MLE has more variables than the SRS supports.
     pub fn commit(&self, mle: &Mle) -> Commitment {
-        let _s = tele::span("pcs/commit");
-        let level = self.level_for(mle.num_vars());
-        Commitment(msm(level, mle.evals()).to_affine())
+        self.commit_with_threads(mle, available_threads())
     }
 
-    /// Opens `mle` at `point`, returning the proof and the claimed value.
-    ///
-    /// The quotient computation is the MLE-Update dataflow: at step `i` the
-    /// quotient is the pairwise-difference table and the polynomial is
-    /// halved by fixing `X_i = z_i`.
+    /// [`commit`](Self::commit) with an explicit MSM worker-thread count;
+    /// the commitment does not depend on it.
+    pub fn commit_with_threads(&self, mle: &Mle, threads: usize) -> Commitment {
+        let _s = tele::span("pcs/commit");
+        let level = self.level_for(mle.num_vars());
+        Commitment(
+            msm_with_ops_threads(level, mle.evals(), threads)
+                .0
+                .to_affine(),
+        )
+    }
+
+    /// Opens `mle` at `point` on every available core, returning the proof
+    /// and the claimed value ([`open_with_threads`](Self::open_with_threads)
+    /// lets the caller decide).
     ///
     /// # Panics
     ///
     /// Panics on arity mismatch with the SRS or point.
     pub fn open(&self, mle: &Mle, point: &[Fr]) -> (OpeningProof, Fr) {
+        self.open_with_threads(mle, point, available_threads())
+    }
+
+    /// [`open`](Self::open) with an explicit MSM worker-thread count; the
+    /// proof does not depend on it.
+    ///
+    /// The quotient computation is the MLE-Update dataflow: at step `i` the
+    /// quotient is the pairwise-difference table and the polynomial is
+    /// halved by fixing `X_i = z_i`.
+    pub fn open_with_threads(&self, mle: &Mle, point: &[Fr], threads: usize) -> (OpeningProof, Fr) {
         let _s = tele::span("pcs/open");
         assert_eq!(point.len(), mle.num_vars(), "opening point arity");
         let offset = self.num_vars - mle.num_vars();
@@ -164,9 +171,11 @@ impl MultilinearKzg {
                 .map(|j| current.evals()[2 * j + 1] - current.evals()[2 * j])
                 .collect();
             let level = &self.levels[offset + i + 1];
-            quotients.push(msm(level, &q).to_affine());
+            quotients.push(msm_with_ops_threads(level, &q, threads).0);
             current = current.fix_first_variable(z);
         }
+        // One shared inversion brings all µ quotient commitments to affine.
+        let quotients = batch_normalize(&quotients);
         (OpeningProof { quotients }, current.evals()[0])
     }
 
@@ -178,6 +187,42 @@ impl MultilinearKzg {
             num_vars
         );
         &self.levels[self.num_vars - num_vars]
+    }
+}
+
+/// What [`zkphire_curve::msm`] uses: one MSM worker per available core.
+fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// `g · 2^i` for every scalar bit: a scalar multiplication of the
+/// generator becomes one point addition per set bit.
+struct FixedBaseTable(Vec<G1Projective>);
+
+impl FixedBaseTable {
+    fn new() -> Self {
+        let powers = std::iter::successors(Some(G1Projective::generator()), |p| Some(p.double()));
+        Self(powers.take(256).collect())
+    }
+
+    fn mul(&self, s: &Fr) -> G1Projective {
+        let limbs = s.to_canonical_limbs();
+        let mut out = G1Projective::identity();
+        for (i, power) in self.0.iter().enumerate() {
+            if (limbs[i / 64] >> (i % 64)) & 1 == 1 {
+                out += *power;
+            }
+        }
+        out
+    }
+
+    /// `g · e` for every evaluation `e` of `basis`, in affine form (one
+    /// batched inversion instead of one inversion per point).
+    fn commit_basis(&self, basis: &Mle) -> Vec<G1Affine> {
+        let projective: Vec<G1Projective> = basis.evals().iter().map(|e| self.mul(e)).collect();
+        batch_normalize(&projective)
     }
 }
 
@@ -310,6 +355,61 @@ mod tests {
         let point: Vec<Fr> = (0..3).map(|_| Fr::random(&mut rng)).collect();
         let (proof, value) = pcs.open(&f, &point);
         assert!(verifier.verify(&c, &point, value, &proof));
+    }
+
+    /// The pre-marginalisation construction: every level straight from its
+    /// own eq table by fixed-base multiplication.
+    fn levels_by_fixed_base(tau: &[Fr]) -> Vec<Vec<G1Affine>> {
+        let table = FixedBaseTable::new();
+        (0..=tau.len())
+            .map(|j| table.commit_basis(&Mle::eq_table(&tau[j..])))
+            .collect()
+    }
+
+    #[test]
+    fn folded_srs_levels_match_fixed_base_construction() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for num_vars in [0usize, 1, 5, 8] {
+            let tau: Vec<Fr> = (0..num_vars).map(|_| Fr::random(&mut rng)).collect();
+            let pcs = MultilinearKzg::from_tau(&tau);
+            let expected = levels_by_fixed_base(&tau);
+            assert_eq!(pcs.levels.len(), num_vars + 1);
+            for (j, (level, reference)) in pcs.levels.iter().zip(&expected).enumerate() {
+                assert_eq!(level, reference, "num_vars {num_vars}, level {j}");
+            }
+            assert_eq!(pcs.levels[num_vars], vec![G1Affine::generator()]);
+        }
+    }
+
+    #[test]
+    fn thread_count_does_not_change_commitment_or_proof() {
+        // mu = 10 reaches the MSM's parallel path (n >= 2^10).
+        let (pcs, verifier, mut rng) = setup(10, 10);
+        let f = Mle::from_fn(10, |_| Fr::random(&mut rng));
+        let point: Vec<Fr> = (0..10).map(|_| Fr::random(&mut rng)).collect();
+        let c = pcs.commit(&f);
+        let (proof, value) = pcs.open(&f, &point);
+        assert!(verifier.verify(&c, &point, value, &proof));
+        for threads in [1usize, 3] {
+            assert_eq!(pcs.commit_with_threads(&f, threads), c);
+            assert_eq!(
+                pcs.open_with_threads(&f, &point, threads),
+                (proof.clone(), value)
+            );
+        }
+    }
+
+    #[test]
+    fn opening_of_constant_has_identity_quotients() {
+        // All quotient MSMs are zero: batch normalisation must keep the
+        // identity points (z = 0) as identities.
+        let (pcs, verifier, mut rng) = setup(3, 11);
+        let f = Mle::from_fn(3, |_| Fr::from_u64(7));
+        let point: Vec<Fr> = (0..3).map(|_| Fr::random(&mut rng)).collect();
+        let (proof, value) = pcs.open(&f, &point);
+        assert_eq!(value, Fr::from_u64(7));
+        assert!(proof.quotients.iter().all(G1Affine::is_identity));
+        assert!(verifier.verify(&pcs.commit(&f), &point, value, &proof));
     }
 
     #[test]

@@ -39,8 +39,8 @@ use zkphire_fleet::{
     Request, RequestClass, RequestRecord, RetryPolicy, RunAccumulators, SplitMix64, TenantId,
 };
 use zkphire_hyperplonk::{
-    prove_with_config, setup, verify, Circuit, GateSystem, ProverConfig, ProvingKey, VerifyingKey,
-    Witness,
+    prove_with_config, setup_with_threads, verify, Circuit, GateSystem, ProverConfig, ProvingKey,
+    VerifyingKey, Witness,
 };
 use zkphire_telemetry::{wall_event, Histogram, WallEventKind};
 use zkphire_transcript::Transcript;
@@ -403,7 +403,7 @@ impl ProvingService {
                 cfg.active_fraction,
                 &mut rng,
             );
-            let (pk, vk) = setup(circuit, &mut rng);
+            let (pk, vk) = setup_with_threads(circuit, &mut rng, threads);
             // Two proves: the first warms lazy init and caches (its
             // timing is not representative), the second is the
             // calibration measurement. Both must verify.

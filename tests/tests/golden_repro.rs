@@ -17,18 +17,9 @@
 //! suspect the platform before the simulator.
 
 use zkphire_bench::experiments;
+use zkphire_tests::fnv1a;
 
 const EXPERIMENTS: [&str; 5] = ["fleet", "autoscale", "faults", "obs", "net"];
-
-/// FNV-1a over the experiment's full text output.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The compact summary format the golden file stores: one hash line
 /// per experiment plus every embedded trace-hash line verbatim.
@@ -39,7 +30,7 @@ fn summarize_outputs() -> String {
         out.push_str(&format!(
             "{name} lines={} fnv1a={:016x}\n",
             text.lines().count(),
-            fnv1a(&text)
+            fnv1a(text.as_bytes())
         ));
         for line in text.lines().filter(|l| l.starts_with("Trace hash")) {
             out.push_str(line);

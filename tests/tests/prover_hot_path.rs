@@ -2,16 +2,22 @@
 //! slow-but-obviously-correct references: signed-digit batched-affine MSM
 //! against naive double-and-add (and the retained unsigned-window
 //! baseline), and the parallel SumCheck prover against the
-//! single-threaded transcript, on seeded random inputs.
+//! single-threaded transcript, on seeded random inputs. Plus the sweep
+//! across the projective / batched-affine bucket crossover and the
+//! proof-bytes pin that keep MSM kernel changes output-neutral.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use zkphire_curve::{msm_naive, msm_unsigned_with_ops, msm_with_ops_threads, G1Affine};
+use zkphire_curve::{
+    batch_normalize, msm_naive, msm_unsigned_with_ops, msm_with_ops_threads, G1Affine, G1Projective,
+};
 use zkphire_field::Fr;
+use zkphire_hyperplonk::{prove_with_config, setup, verify, Circuit, GateSystem, ProverConfig};
 use zkphire_poly::expr::{konst, var, GateExpr};
 use zkphire_poly::Mle;
 use zkphire_sumcheck::{prove_with_threads, verify_with_oracle};
+use zkphire_tests::fnv1a;
 use zkphire_transcript::Transcript;
 
 /// Random MSM instances mixing the regimes the prover actually sees:
@@ -125,3 +131,164 @@ proptest! {
         prop_assert!(verify_with_oracle(&poly, &mles, &reference.proof, &mut tv).is_ok());
     }
 }
+
+/// `n` distinct points `k_i·G` with `k_0 = 2`, `k_{i+1} = 2 k_i + 1`,
+/// and the `k_i`: one doubling and one addition per point instead of a
+/// scalar multiplication, and a closed form for any MSM over them.
+fn points_with_logs(n: usize) -> (Vec<G1Affine>, Vec<Fr>) {
+    let g = G1Affine::generator();
+    let mut acc = G1Projective::from(g).double();
+    let mut log = Fr::from_u64(2);
+    let mut chain = Vec::with_capacity(n);
+    let mut logs = Vec::with_capacity(n);
+    for _ in 0..n {
+        chain.push(acc);
+        logs.push(log);
+        acc = acc.double().add_mixed(&g);
+        log = log.double() + Fr::ONE;
+    }
+    (batch_normalize(&chain), logs)
+}
+
+/// One MSM instance over points with known discrete logs `k_i`.
+struct MsmCase {
+    what: &'static str,
+    points: Vec<G1Affine>,
+    logs: Vec<Fr>,
+    scalars: Vec<Fr>,
+}
+
+/// The input shapes that stress the pair-reduction, cut to `n` entries.
+fn msm_shapes(n: usize, points: &[G1Affine], logs: &[Fr], rng: &mut StdRng) -> Vec<MsmCase> {
+    let (points, logs) = (&points[..n], &logs[..n]);
+    let dense: Vec<Fr> = (0..n).map(|_| Fr::random(rng)).collect();
+    let mut thinned = |keep_one_in: u32| -> Vec<Fr> {
+        let keep = |s: &Fr| {
+            if rng.gen_ratio(1, keep_one_in) {
+                *s
+            } else {
+                Fr::ZERO
+            }
+        };
+        dense.iter().map(keep).collect()
+    };
+    let (half_zero, mostly_zero) = (thinned(2), thinned(10));
+    let on_chain = |what, scalars| MsmCase {
+        what,
+        points: points.to_vec(),
+        logs: logs.to_vec(),
+        scalars,
+    };
+    vec![
+        on_chain("dense", dense.clone()),
+        on_chain("50% zero", half_zero),
+        on_chain("90% zero", mostly_zero),
+        // One scalar everywhere: a single hot bucket per window.
+        on_chain("all-equal scalars", vec![dense[0]; n]),
+        // One point everywhere: every pair in a bucket is a doubling.
+        MsmCase {
+            what: "duplicate points",
+            points: vec![points[0]; n],
+            logs: vec![logs[0]; n],
+            scalars: dense.clone(),
+        },
+        // P, -P, P', -P', … under pairwise-equal scalars: every
+        // first-pass pair cancels to the identity inside its bucket.
+        MsmCase {
+            what: "P, -P pairs",
+            points: (0..n)
+                .map(|i| [points[i / 2], -points[i / 2]][i % 2])
+                .collect(),
+            logs: (0..n).map(|i| [logs[i / 2], -logs[i / 2]][i % 2]).collect(),
+            scalars: (0..n).map(|i| dense[i / 2]).collect(),
+        },
+    ]
+}
+
+/// Signed MSM against the closed form `(Σ s_i k_i)·G` for every shape at
+/// every size in `sizes`. Up to 2^10 points — and on the dense shape
+/// above — also against `msm_naive` (to 2^7; a debug build pays ~10 µs
+/// per point addition), the unsigned-window baseline, and itself at 2, 4
+/// and 9 threads with identical `MsmOps`.
+fn check_msm_sizes(sizes: &[usize], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let max = sizes.iter().copied().max().expect("some size");
+    let (points, logs) = points_with_logs(max);
+    for &n in sizes {
+        for case in msm_shapes(n, &points, &logs, &mut rng) {
+            let MsmCase {
+                what,
+                points,
+                logs,
+                scalars,
+            } = case;
+            let combined: Fr = logs.iter().zip(&scalars).map(|(k, s)| *k * *s).sum();
+            let expected = G1Projective::generator().mul_fr(&combined);
+            let (r1, o1) = msm_with_ops_threads(&points, &scalars, 1);
+            assert_eq!(r1, expected, "{what}, n={n}: signed, 1 thread");
+            if n <= 1 << 7 {
+                assert_eq!(msm_naive(&points, &scalars), expected, "{what}, n={n}");
+            }
+            if n <= 1 << 10 || what == "dense" {
+                let (unsigned, _) = msm_unsigned_with_ops(&points, &scalars);
+                assert_eq!(unsigned, expected, "{what}, n={n}: unsigned baseline");
+                for threads in [2usize, 4, 9] {
+                    let (rt, ot) = msm_with_ops_threads(&points, &scalars, threads);
+                    assert_eq!(rt, expected, "{what}, n={n}: {threads} threads");
+                    assert_eq!(ot, o1, "{what}, n={n}: MsmOps at {threads} threads");
+                }
+            }
+        }
+    }
+}
+
+/// Projective buckets below 2^8 points, batched-affine pair-reduction
+/// from there up, and one point either side of the crossover.
+#[test]
+fn msm_agrees_across_the_bucket_path_crossover() {
+    let mut sizes: Vec<usize> = (4..=10).map(|k| 1 << k).collect();
+    sizes.extend([(1 << 8) - 1, (1 << 8) + 1]);
+    check_msm_sizes(&sizes, 0x5eed);
+}
+
+/// The two sizes above the MSM's parallel cutoff that the prove
+/// workloads commit at (2^11) and that were batched already (2^12).
+#[test]
+fn msm_agrees_at_prover_column_sizes() {
+    check_msm_sizes(&[1 << 11, 1 << 12], 0x5eed + 1);
+}
+
+/// Proof bytes for a fixed seed, pinned at the commit before the
+/// batched-affine crossover moved (PR 12, 891a027): the MSM kernel, the
+/// field inversion and the SRS construction may change how points are
+/// computed, never which points.
+#[test]
+fn proof_bytes_match_pre_rewrite_pin() {
+    for (system, mu, seed, pinned) in [
+        (GateSystem::Vanilla, 9, 0xa11ce_u64, PIN_VANILLA),
+        (GateSystem::Jellyfish, 8, 0xb0b_u64, PIN_JELLYFISH),
+    ] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (circuit, witness) = Circuit::random(system, mu, 0.5, &mut rng);
+        let (pk, vk) = setup(circuit, &mut rng);
+        let mut hashes = Vec::new();
+        for threads in [1usize, 3] {
+            let proof = prove_with_config(
+                &pk,
+                &witness,
+                &mut Transcript::new(b"hotpath/pin"),
+                ProverConfig { threads },
+            );
+            verify(&vk, &proof, &mut Transcript::new(b"hotpath/pin")).expect("proof verifies");
+            hashes.push(fnv1a(&proof.to_bytes()));
+        }
+        assert_eq!(
+            hashes, [pinned; 2],
+            "{system:?}: fnv1a(to_bytes()) = {:#018x}",
+            hashes[0]
+        );
+    }
+}
+
+const PIN_VANILLA: u64 = 0x4d40_31a9_a8aa_67ba;
+const PIN_JELLYFISH: u64 = 0x674f_b66e_ead2_4882;
