@@ -64,8 +64,8 @@ mod tests {
             let ms = cpu_sumcheck_ms(&profile, mu, 4);
             let ratio = ms / paper_ms;
             // Wide composites over-predict (a real CPU amortizes memory
-            // stalls across more math per byte); deltas are recorded in
-            // EXPERIMENTS.md. Shape, not absolutes, is the target (S2).
+            // stalls across more math per byte); the assert message
+            // carries the delta. Shape, not absolutes, is the target (S2).
             assert!(
                 ratio > 0.4 && ratio < 3.0,
                 "gate {gate}: modeled {ms:.0} vs paper {paper_ms:.0} (ratio {ratio:.2})"

@@ -1,16 +1,10 @@
 //! Regenerates the paper's tables and figures from this repository's
 //! models. Usage: `repro <experiment|all> [flags...]`; see `repro list`.
-//! (`repro perf` accepts `--smoke` and `--out <path>`; `repro obs`
-//! accepts `--out-dir <dir>`.)
+//! (`repro obs` accepts `--out-dir <dir>`.)
 
 use std::process::ExitCode;
 
 use zkphire_bench::experiments;
-
-// Feeds the `repro perf` allocation counter; a zero-cost passthrough to
-// the system allocator whenever recording is off.
-#[global_allocator]
-static ALLOC: zkphire_telemetry::CountingAlloc = zkphire_telemetry::CountingAlloc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

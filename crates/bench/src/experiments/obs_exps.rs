@@ -23,7 +23,9 @@
 //! `--out-dir <dir>` additionally writes the four trace artifacts
 //! (`OBS_prover_trace.json`, `OBS_prover.jsonl`, `OBS_fleet_trace.json`,
 //! `OBS_fleet.jsonl`); the two `*_trace.json` files load directly in
-//! Perfetto / `chrome://tracing`.
+//! Perfetto / `chrome://tracing`. It also adds to section 1 the
+//! profiler's runtime-on vs -off overhead on that prove — wall-clock,
+//! so kept out of the flag-less golden output.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -84,7 +86,7 @@ pub fn obs() -> String {
 }
 
 /// The `obs` experiment; recognizes `--out-dir <dir>` to export the
-/// Chrome/JSONL trace artifacts.
+/// Chrome/JSONL trace artifacts and print the recorder overhead pair.
 pub fn obs_with_args(args: &[String]) -> String {
     let out_dir = args
         .iter()
@@ -93,7 +95,7 @@ pub fn obs_with_args(args: &[String]) -> String {
         .cloned();
 
     let mut out = String::new();
-    let (prover_chrome, prover_jsonl) = prover_section(&mut out);
+    let (prover_chrome, prover_jsonl) = prover_section(&mut out, out_dir.is_some());
     let (fleet_chrome, fleet_jsonl) = fleet_section(&mut out);
 
     if let Some(dir) = out_dir {
@@ -124,8 +126,10 @@ pub fn obs_with_args(args: &[String]) -> String {
 // --------------------------------------------------------------- prover --
 
 /// Runs the instrumented prove and prints its machine-independent
-/// profile facts. Returns the (wall-clock, non-golden) trace exports.
-fn prover_section(out: &mut String) -> (String, String) {
+/// profile facts — plus, if `with_overhead`, the wall-clock
+/// [`overhead_pair`] line. Returns the (wall-clock, non-golden) trace
+/// exports.
+fn prover_section(out: &mut String, with_overhead: bool) -> (String, String) {
     let mut rng = StdRng::seed_from_u64(PROVE_SEED);
     let (circuit, witness) = Circuit::random(GateSystem::Jellyfish, PROVE_MU, 0.5, &mut rng);
     // Keygen's MSM workers record too: run it under the guard so it
@@ -134,18 +138,23 @@ fn prover_section(out: &mut String) -> (String, String) {
     let guard = tele_guard();
     let (pk, vk) = setup(circuit, &mut rng);
 
+    let prove = || {
+        prove_with_config(
+            &pk,
+            &witness,
+            &mut Transcript::new(b"obs/prover"),
+            ProverConfig { threads: 1 },
+        )
+    };
+
     tele::reset();
     tele::set_enabled(true);
     let start = Instant::now();
-    let proof = prove_with_config(
-        &pk,
-        &witness,
-        &mut Transcript::new(b"obs/prover"),
-        ProverConfig { threads: 1 },
-    );
+    let proof = prove();
     let wall_ns = start.elapsed().as_nanos() as u64;
     tele::set_enabled(false);
     let profile = tele::drain();
+    let overhead = with_overhead.then(|| overhead_pair(prove));
     drop(guard);
     verify(&vk, &proof, &mut Transcript::new(b"obs/prover")).expect("obs proof must verify");
 
@@ -233,9 +242,11 @@ fn prover_section(out: &mut String) -> (String, String) {
     );
     let _ = writeln!(
         out,
-        "timer reconciliation: OK (`prove` span within {:.0}% of the external e2e timer)\n",
+        "timer reconciliation: OK (`prove` span within {:.0}% of the external e2e timer)",
         RECONCILE_TOL * 100.0
     );
+    out.push_str(&overhead.unwrap_or_default());
+    out.push('\n');
 
     msm_probe(out);
 
@@ -304,6 +315,34 @@ fn msm_probe(out: &mut String) {
         &hist_rows,
     ));
     out.push('\n');
+}
+
+/// Telemetry overhead of `prove`: best-of-3 wall time with recording
+/// runtime-off vs -on, as one output line. The hooks are compiled in
+/// (this crate enables `record`), so "off" measures the runtime gate —
+/// one relaxed load per hook — and "on" the full recording path;
+/// alternating the two and taking each best-of-N filters the scheduler
+/// noise and host speed drift that dwarf the overhead at this size.
+/// The caller holds [`tele_guard`].
+fn overhead_pair<T>(prove: impl Fn() -> T) -> String {
+    const REPS: usize = 3;
+    tele::reset();
+    let mut best_ms = [f64::INFINITY; 2];
+    for _ in 0..REPS {
+        for (enabled, best) in [false, true].into_iter().zip(&mut best_ms) {
+            tele::set_enabled(enabled);
+            let start = Instant::now();
+            std::hint::black_box(prove());
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    tele::set_enabled(false);
+    tele::drain(); // discard the recorded reps' spans
+    let [off_ms, on_ms] = best_ms;
+    format!(
+        "telemetry overhead (best of {REPS}): on {on_ms:.2} ms vs off {off_ms:.2} ms ({:+.2}%)\n",
+        100.0 * (on_ms / off_ms - 1.0),
+    )
 }
 
 // ---------------------------------------------------------------- fleet --
@@ -475,6 +514,7 @@ mod tests {
         let args = vec!["--out-dir".to_string(), dir.display().to_string()];
         let out = obs_with_args(&args);
         assert!(out.contains("wrote "), "no export confirmation:\n{out}");
+        assert!(out.contains("telemetry overhead (best of 3): on "), "{out}");
         for name in [
             "OBS_prover_trace.json",
             "OBS_prover.jsonl",

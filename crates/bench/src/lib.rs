@@ -8,7 +8,7 @@
 //! cargo run --release -p zkphire-bench --bin repro -- <experiment|all>
 //! ```
 //!
-//! Paper-vs-measured numbers are archived in `EXPERIMENTS.md`.
+//! Each generator prints the paper's number next to the regenerated one.
 
 pub mod experiments;
 

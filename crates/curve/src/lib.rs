@@ -23,7 +23,4 @@ mod g1;
 mod msm;
 
 pub use g1::{batch_normalize, curve_b, G1Affine, G1Projective};
-pub use msm::{
-    msm, msm_naive, msm_unsigned, msm_unsigned_with_ops, msm_with_ops, msm_with_ops_threads,
-    optimal_window_bits, MsmOps,
-};
+pub use msm::{msm, msm_naive, msm_with_ops, msm_with_ops_threads, optimal_window_bits, MsmOps};

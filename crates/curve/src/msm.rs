@@ -1,7 +1,7 @@
 //! Multi-scalar multiplication (MSM) via Pippenger's bucket method.
 //!
 //! MSM is the dominant kernel of HyperPlonk's polynomial commitments
-//! (paper §II-B): `S = Σ k_i · P_i`. Two implementations live here:
+//! (paper §II-B): `S = Σ k_i · P_i`.
 //!
 //! * [`msm`] / [`msm_with_ops`] — the production path: **signed-digit**
 //!   windows (digits in `[-2^(c-1), 2^(c-1)]`, halving the bucket count
@@ -17,11 +17,8 @@
 //!   opening MSMs of a 2^10-row prove but the last few quotients; the
 //!   handful of buckets of a smaller MSM accumulate in projective
 //!   coordinates (`BATCHED_AFFINE_MIN_BUCKETS` carries the measurement).
-//! * [`msm_unsigned_with_ops`] — the previous unsigned-window path with one
-//!   projective mixed-add per streamed pair, kept as the regression
-//!   baseline the `repro perf` harness compares against.
 //!
-//! Both report the operation counts the hardware model consumes. Zero
+//! It reports the operation counts the hardware model consumes. Zero
 //! scalars are skipped, which is exactly how the accelerator's *sparse
 //! MSMs* over ~90%-sparse witness MLEs gain their advantage (§IV-B1,
 //! §IV-B3). Per-window work is deterministic, so [`MsmOps`] counts are
@@ -490,91 +487,36 @@ fn affine_add_with_inv(q: &G1Affine, p: &G1Affine, inv: &Fq) -> Option<G1Affine>
     })
 }
 
-/// The pre-rewrite unsigned-window Pippenger with one projective mixed-add
-/// per streamed pair — the `repro perf` regression baseline.
-pub fn msm_unsigned(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
-    msm_unsigned_with_ops(points, scalars).0
-}
-
-/// [`msm_unsigned`] plus the operation counts incurred.
-pub fn msm_unsigned_with_ops(points: &[G1Affine], scalars: &[Fr]) -> (G1Projective, MsmOps) {
-    assert_eq!(
-        points.len(),
-        scalars.len(),
-        "points and scalars must pair up"
-    );
-    if points.is_empty() {
-        return (G1Projective::identity(), MsmOps::default());
-    }
-
+/// The pre-rewrite unsigned-window Pippenger, one projective mixed-add
+/// per streamed pair: the oracle of the 2^12-point unit test, a size at
+/// which [`msm_naive`] is too slow for a debug build.
+#[cfg(test)]
+fn msm_unsigned(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     let window_bits = optimal_window_bits(points.len());
     let num_windows = SCALAR_BITS.div_ceil(window_bits) as usize;
-
     let canonical: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical_limbs()).collect();
 
-    // Each window is independent: accumulate buckets, then reduce.
-    let window_results: Vec<(G1Projective, MsmOps)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..num_windows)
-            .map(|w| {
-                let canonical = &canonical;
-                scope.spawn(move || window_sum_unsigned(points, canonical, w, window_bits))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("window thread"))
-            .collect()
-    });
-
-    // Aggregate windows from most significant down.
-    let mut ops = MsmOps::default();
+    // Windows from most significant down: accumulate buckets, reduce.
     let mut acc = G1Projective::identity();
-    for (w_sum, w_ops) in window_results.iter().rev() {
+    for w in (0..num_windows).rev() {
         for _ in 0..window_bits {
             acc = acc.double();
         }
-        ops.doublings += u64::from(window_bits);
-        ops.bucket_adds += w_ops.bucket_adds;
-        ops.reduction_adds += w_ops.reduction_adds;
-        ops.skipped_zeros += w_ops.skipped_zeros;
-        acc += *w_sum;
-    }
-    // The doublings above over-count by window_bits for the top window
-    // (doubling the identity); keep the simple accounting — the model uses
-    // scalar_bits doublings total.
-    ops.doublings = u64::from(SCALAR_BITS);
-    (acc, ops)
-}
-
-fn window_sum_unsigned(
-    points: &[G1Affine],
-    canonical: &[[u64; 4]],
-    window_index: usize,
-    window_bits: u32,
-) -> (G1Projective, MsmOps) {
-    let mut ops = MsmOps::default();
-    let bucket_count = (1usize << window_bits) - 1;
-    let mut buckets = vec![G1Projective::identity(); bucket_count];
-
-    for (point, limbs) in points.iter().zip(canonical) {
-        let digit = extract_digit(limbs, window_index, window_bits);
-        if digit == 0 {
-            ops.skipped_zeros += 1;
-            continue;
+        let mut buckets = vec![G1Projective::identity(); (1usize << window_bits) - 1];
+        for (point, limbs) in points.iter().zip(&canonical) {
+            let digit = extract_digit(limbs, w, window_bits);
+            if digit != 0 {
+                buckets[digit - 1] = buckets[digit - 1].add_mixed(point);
+            }
         }
-        buckets[digit - 1] = buckets[digit - 1].add_mixed(point);
-        ops.bucket_adds += 1;
+        // Running-sum reduction: sum_j j * bucket_j.
+        let mut running = G1Projective::identity();
+        for bucket in buckets.iter().rev() {
+            running += *bucket;
+            acc += running;
+        }
     }
-
-    // Running-sum reduction: sum_j j * bucket_j with 2 * |buckets| adds.
-    let mut running = G1Projective::identity();
-    let mut total = G1Projective::identity();
-    for bucket in buckets.iter().rev() {
-        running += *bucket;
-        total += running;
-        ops.reduction_adds += 2;
-    }
-    (total, ops)
+    acc
 }
 
 /// Extracts the `window_index`-th base-`2^window_bits` digit of a 256-bit
@@ -631,18 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_unsigned_reference() {
-        for n in [5usize, 64, 300] {
-            let (points, scalars) = random_inputs(n, 1000 + n as u64);
-            assert_eq!(
-                msm(&points, &scalars),
-                msm_unsigned(&points, &scalars),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
     fn batched_affine_path_matches_unsigned() {
         // A 2^12-point instance on the batched-affine path (every test
         // here from n = 2^8 up takes it; the crossover sweep lives in
@@ -669,8 +599,7 @@ mod tests {
             .collect();
         let (signed, ops) = msm_with_ops_threads(&points, &scalars, 1);
         let (par, par_ops) = msm_with_ops_threads(&points, &scalars, 4);
-        let (unsigned, _) = msm_unsigned_with_ops(&points, &scalars);
-        assert_eq!(signed, unsigned);
+        assert_eq!(signed, msm_unsigned(&points, &scalars));
         assert_eq!(par, signed);
         assert_eq!(par_ops, ops);
         assert_eq!(ops.skipped_zeros, (n / 8) as u64);
@@ -679,7 +608,6 @@ mod tests {
     #[test]
     fn empty_msm_is_identity() {
         assert!(msm(&[], &[]).is_identity());
-        assert!(msm_unsigned(&[], &[]).is_identity());
     }
 
     #[test]
@@ -828,19 +756,5 @@ mod tests {
         assert_eq!(r1, r9);
         assert_eq!(o1, o4);
         assert_eq!(o1, o9);
-    }
-
-    #[test]
-    fn unsigned_ops_accounting_unchanged() {
-        let (points, scalars) = random_inputs(128, 11);
-        let (_, ops) = msm_unsigned_with_ops(&points, &scalars);
-        let window_bits = optimal_window_bits(128);
-        let windows = SCALAR_BITS.div_ceil(window_bits) as u64;
-        assert_eq!(
-            ops.reduction_adds,
-            windows * 2 * ((1u64 << window_bits) - 1)
-        );
-        assert!(ops.bucket_adds <= 128 * windows);
-        assert_eq!(ops.doublings, u64::from(SCALAR_BITS));
     }
 }

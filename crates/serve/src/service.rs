@@ -373,15 +373,15 @@ impl ProvingService {
         if cfg.classes.is_empty() {
             return Err(ServeError::InvalidConfig("no request classes".into()));
         }
-        for knob in [
-            cfg.deadline_factor,
-            cfg.deadline_slack_ms,
-            cfg.repair_ms,
-            cfg.active_fraction,
+        for (field, knob) in [
+            ("deadline_factor", cfg.deadline_factor),
+            ("deadline_slack_ms", cfg.deadline_slack_ms),
+            ("repair_ms", cfg.repair_ms),
+            ("active_fraction", cfg.active_fraction),
         ] {
             if !knob.is_finite() || knob < 0.0 {
                 return Err(ServeError::InvalidConfig(format!(
-                    "non-finite or negative knob {knob}"
+                    "non-finite or negative {field}: {knob}"
                 )));
             }
         }
@@ -1364,6 +1364,33 @@ mod tests {
         assert_eq!(report.records[0].id, id);
         assert!(report.records[0].finish_ms >= report.records[0].start_ms);
         assert!(report.calibration[0].1 > 0.0, "calibration measured time");
+    }
+
+    #[test]
+    fn a_bad_knob_is_rejected_by_field_name() {
+        for field in [
+            "deadline_factor",
+            "deadline_slack_ms",
+            "repair_ms",
+            "active_fraction",
+        ] {
+            for bad in [-1.0, f64::NAN, f64::INFINITY] {
+                let mut cfg = tiny_cfg();
+                match field {
+                    "deadline_factor" => cfg.deadline_factor = bad,
+                    "deadline_slack_ms" => cfg.deadline_slack_ms = bad,
+                    "repair_ms" => cfg.repair_ms = bad,
+                    _ => cfg.active_fraction = bad,
+                }
+                match ProvingService::start(cfg) {
+                    Err(ServeError::InvalidConfig(why)) => {
+                        assert_eq!(why, format!("non-finite or negative {field}: {bad}"));
+                    }
+                    Err(other) => panic!("{field} = {bad}: wrong error {other}"),
+                    Ok(_) => panic!("{field} = {bad} was accepted"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,19 +23,14 @@
 //!    that reconcile with the service's own drain summary (see the
 //!    module docs in [`wall`]).
 //!
-//! Plus [`CountingAlloc`], a counting global allocator for the prover's
-//! allocation counter (active only while recording).
-//!
 //! See `docs/OBSERVABILITY.md` for the design rationale, overhead
 //! budget, trace schemas, and a Perfetto how-to.
 
-pub mod alloc;
 pub mod profile;
 pub mod timeline;
 pub mod trace;
 pub mod wall;
 
-pub use alloc::{alloc_counts, reset_alloc_counts, CountingAlloc};
 pub use profile::{
     counter_add, drain, hist_merge, hist_record, is_enabled, reset, set_enabled, span, wall_event,
     Histogram, Profile, Span, SpanRecord,

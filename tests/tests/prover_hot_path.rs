@@ -1,17 +1,14 @@
 //! Property tests pinning the PR 5 prover hot-path rewrites to their
 //! slow-but-obviously-correct references: signed-digit batched-affine MSM
-//! against naive double-and-add (and the retained unsigned-window
-//! baseline), and the parallel SumCheck prover against the
-//! single-threaded transcript, on seeded random inputs. Plus the sweep
+//! against naive double-and-add, and the parallel SumCheck prover against
+//! the single-threaded transcript, on seeded random inputs. Plus the sweep
 //! across the projective / batched-affine bucket crossover and the
 //! proof-bytes pin that keep MSM kernel changes output-neutral.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use zkphire_curve::{
-    batch_normalize, msm_naive, msm_unsigned_with_ops, msm_with_ops_threads, G1Affine, G1Projective,
-};
+use zkphire_curve::{batch_normalize, msm_naive, msm_with_ops_threads, G1Affine, G1Projective};
 use zkphire_field::Fr;
 use zkphire_hyperplonk::{prove_with_config, setup, verify, Circuit, GateSystem, ProverConfig};
 use zkphire_poly::expr::{konst, var, GateExpr};
@@ -91,16 +88,6 @@ proptest! {
             prop_assert_eq!(rt, expected);
             prop_assert_eq!(ot, o1);
         }
-    }
-
-    /// The signed rewrite agrees with the retained unsigned-window
-    /// baseline (the pre-PR-5 production path) on the same inputs.
-    #[test]
-    fn signed_msm_matches_unsigned_baseline(n in 1usize..200, seed in 0u64..10_000) {
-        let (points, scalars) = msm_instance(n, seed);
-        let (signed, _) = msm_with_ops_threads(&points, &scalars, 2);
-        let (unsigned, _) = msm_unsigned_with_ops(&points, &scalars);
-        prop_assert_eq!(signed, unsigned);
     }
 
     /// Parallel SumCheck provers produce proofs, challenges, and
@@ -208,8 +195,8 @@ fn msm_shapes(n: usize, points: &[G1Affine], logs: &[Fr], rng: &mut StdRng) -> V
 /// Signed MSM against the closed form `(Σ s_i k_i)·G` for every shape at
 /// every size in `sizes`. Up to 2^10 points — and on the dense shape
 /// above — also against `msm_naive` (to 2^7; a debug build pays ~10 µs
-/// per point addition), the unsigned-window baseline, and itself at 2, 4
-/// and 9 threads with identical `MsmOps`.
+/// per point addition) and itself at 2, 4 and 9 threads with identical
+/// `MsmOps`.
 fn check_msm_sizes(sizes: &[usize], seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let max = sizes.iter().copied().max().expect("some size");
@@ -230,8 +217,6 @@ fn check_msm_sizes(sizes: &[usize], seed: u64) {
                 assert_eq!(msm_naive(&points, &scalars), expected, "{what}, n={n}");
             }
             if n <= 1 << 10 || what == "dense" {
-                let (unsigned, _) = msm_unsigned_with_ops(&points, &scalars);
-                assert_eq!(unsigned, expected, "{what}, n={n}: unsigned baseline");
                 for threads in [2usize, 4, 9] {
                     let (rt, ot) = msm_with_ops_threads(&points, &scalars, threads);
                     assert_eq!(rt, expected, "{what}, n={n}: {threads} threads");
