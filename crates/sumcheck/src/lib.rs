@@ -5,10 +5,14 @@
 //! multilinear polynomials — the exact generality the programmable
 //! accelerator targets. It provides:
 //!
-//! * [`prove`] — multithreaded prover (the repository's real CPU baseline);
-//! * [`prove_instrumented`] — single-threaded reference that counts every
-//!   field operation, validating the analytical [`count_ops`] oracle
-//!   shared with the hardware model;
+//! * [`prove`] — multithreaded prover (the repository's real CPU
+//!   baseline), running a round schedule compiled once per prove: each
+//!   term at its own `degree + 1` points, zero lines skipped, `f_r`
+//!   factored out;
+//! * [`prove_instrumented`] — single-threaded reference that runs the
+//!   modelled per-pair dataflow and counts every field operation,
+//!   validating the analytical [`count_ops`] oracle shared with the
+//!   hardware model; the differential oracle of [`prove`];
 //! * [`verify`] / [`verify_with_oracle`] — round and final-evaluation
 //!   checks;
 //! * [`zerocheck`] — the randomized `f * eq(x, r)` transformation (§III-F).
@@ -35,6 +39,7 @@
 
 mod interp;
 mod ops;
+mod plan;
 mod prover;
 mod verifier;
 pub mod zerocheck;

@@ -1,18 +1,24 @@
 //! The SumCheck prover over composite polynomials.
 //!
 //! Implements the round structure of paper §II-C3 and Fig. 1 for an
-//! arbitrary sum of products of multilinear polynomials: per pair of table
-//! entries, every constituent MLE is *extended* from its evaluations at
-//! `X_i = 0, 1` to `X_i = 2..d` (adds only — the hardware Extension
-//! Engines contain no multipliers), the extensions are multiplied per term
-//! (the Product Lanes), accumulated into `d + 1` round evaluations, hashed
-//! into the transcript to derive the challenge, and finally every MLE is
-//! halved by the *MLE Update* kernel.
+//! arbitrary sum of products of multilinear polynomials: each round sums
+//! the composite over the pairs of table entries at the `d + 1` points
+//! `X_i = 0..=d`, hashes those evaluations into the transcript to derive
+//! the challenge, and halves every MLE with the *MLE Update* kernel.
 //!
-//! [`prove`] is the multithreaded production path (the repo's real CPU
-//! baseline); [`prove_instrumented`] is the single-threaded reference that
-//! counts every field operation and validates
-//! [`count_ops`](crate::count_ops).
+//! Two evaluators produce the same round polynomials, bit for bit:
+//!
+//! * [`prove`] / [`prove_with_threads`], the production path and the
+//!   repo's real CPU baseline, run the schedule of [`plan`](crate::plan):
+//!   compiled once per prove, each term evaluated at its own
+//!   `degree + 1` points, zero lines skipped, `f_r` factored out.
+//! * [`prove_instrumented`] runs the dataflow the accelerator model costs,
+//!   operation for operation: per pair, every constituent MLE is
+//!   *extended* from `X_i = 0, 1` to `X_i = 2..d` (adds only — the hardware
+//!   Extension Engines contain no multipliers) and every term is
+//!   multiplied at every point (the Product Lanes). It counts each field
+//!   operation, validates [`count_ops`](crate::count_ops), and is the
+//!   differential oracle of the production evaluator.
 
 use zkphire_field::Fr;
 use zkphire_poly::{CompositePoly, Mle};
@@ -20,6 +26,7 @@ use zkphire_telemetry as tele;
 use zkphire_transcript::Transcript;
 
 use crate::ops::{coeff_needs_mul, SumcheckOps};
+use crate::plan::RoundPlan;
 
 /// A complete SumCheck proof: the claim, every round polynomial (as
 /// evaluations at `0..=d`), and the constituent-MLE evaluations at the
@@ -86,40 +93,55 @@ pub fn prove_with_threads(
     transcript: &mut Transcript,
     threads: usize,
 ) -> ProverOutput {
-    prove_inner(poly, mles, transcript, None, threads.max(1))
+    let threads = threads.max(1);
+    // Compiled and allocated once per prove, not per round.
+    let plan = RoundPlan::new(poly);
+    let mut scratch = Vec::new();
+    prove_inner(poly, mles, transcript, threads, |mles| {
+        plan.round_evals(mles, &mut scratch, threads)
+    })
 }
 
-/// Single-threaded reference prover that additionally counts every field
-/// operation it performs. Produces bit-identical proofs to [`prove`].
+/// Single-threaded reference prover: the modelled schedule, operation for
+/// operation, counting every field operation it performs. Oracle of the
+/// production evaluator — it produces bit-identical proofs to [`prove`].
 pub fn prove_instrumented(
     poly: &CompositePoly,
     mles: Vec<Mle>,
     transcript: &mut Transcript,
 ) -> (ProverOutput, SumcheckOps) {
     let mut ops = SumcheckOps::default();
-    let out = prove_inner(poly, mles, transcript, Some(&mut ops), 1);
+    let out = prove_inner(poly, mles, transcript, 1, |mles| {
+        let evals = round_evals_counted(poly, mles, &mut ops);
+        // The MLE Update that follows the round.
+        for m in mles {
+            ops.update_muls += (m.len() / 2) as u64;
+            ops.adds += m.len() as u64; // diff + add per surviving entry
+        }
+        evals
+    });
     (out, ops)
 }
 
+/// The protocol around a round evaluator: `round_evals` returns
+/// `s_i(0..k)` for the current tables, which are then folded at the
+/// challenge.
 fn prove_inner(
     poly: &CompositePoly,
     mut mles: Vec<Mle>,
     transcript: &mut Transcript,
-    mut counter: Option<&mut SumcheckOps>,
     threads: usize,
+    mut round_evals: impl FnMut(&[Mle]) -> Vec<Fr>,
 ) -> ProverOutput {
     poly.validate_binding(&mles);
     let num_vars = mles.first().expect("at least one MLE").num_vars();
     assert!(num_vars >= 1, "SumCheck needs at least one variable");
     let degree = poly.degree();
-    // At least two evaluation points: the verifier always checks
-    // s(0) + s(1), even for a degree-0 composite.
-    let k = degree.max(1) + 1;
 
     transcript.append_u64(b"sumcheck/num_vars", num_vars as u64);
     transcript.append_u64(b"sumcheck/degree", degree as u64);
 
-    let mut round_evals = Vec::with_capacity(num_vars);
+    let mut rounds = Vec::with_capacity(num_vars);
     let mut challenges = Vec::with_capacity(num_vars);
     let mut claimed_sum = Fr::ZERO;
 
@@ -127,25 +149,16 @@ fn prove_inner(
         // Spans live on the orchestrating thread only; the scoped round
         // workers stay span-free so recording never perturbs them.
         let _round_span = tele::span("sumcheck/round");
-        let evals = match counter.as_deref_mut() {
-            Some(ops) => round_evals_counted(poly, &mles, k, ops),
-            None => round_evals_parallel(poly, &mles, k, threads),
-        };
+        let evals = round_evals(&mles);
         if round == 0 {
             claimed_sum = evals[0] + evals[1];
             transcript.append_fr(b"sumcheck/claim", &claimed_sum);
         }
         transcript.append_frs(b"sumcheck/round", &evals);
         let r = transcript.challenge_fr(b"sumcheck/challenge");
-        round_evals.push(evals);
+        rounds.push(evals);
         challenges.push(r);
 
-        if let Some(ops) = counter.as_deref_mut() {
-            for m in &mles {
-                ops.update_muls += (m.len() / 2) as u64;
-                ops.adds += m.len() as u64; // diff + add per surviving entry
-            }
-        }
         let _fold_span = tele::span("sumcheck/fold");
         fold_mles(&mut mles, r, threads);
     }
@@ -154,7 +167,7 @@ fn prove_inner(
     ProverOutput {
         proof: SumCheckProof {
             claimed_sum,
-            round_evals,
+            round_evals: rounds,
             final_mle_evals,
         },
         challenges,
@@ -162,19 +175,18 @@ fn prove_inner(
 }
 
 /// Evaluates one pair (entries `2j`, `2j+1`) of every unique MLE,
-/// extending to `k` points and accumulating term products into `sums`.
-#[inline]
-#[allow(clippy::too_many_arguments)] // hot path: mirrors the PE datapath signals
+/// extending to `sums.len()` points and accumulating term products into
+/// `sums`.
 fn accumulate_pair(
     poly: &CompositePoly,
     mles: &[Mle],
     unique: &[usize],
     j: usize,
-    k: usize,
     ext: &mut [Vec<Fr>],
     sums: &mut [Fr],
-    mut counter: Option<&mut SumcheckOps>,
+    ops: &mut SumcheckOps,
 ) {
+    let k = sums.len();
     for &u in unique {
         let evals = mles[u].evals();
         let f0 = evals[2 * j];
@@ -182,15 +194,11 @@ fn accumulate_pair(
         let diff = f1 - f0;
         let e = &mut ext[u];
         e[0] = f0;
-        if k > 1 {
-            e[1] = f1;
-            for t in 2..k {
-                e[t] = e[t - 1] + diff;
-            }
+        e[1] = f1;
+        for t in 2..k {
+            e[t] = e[t - 1] + diff;
         }
-        if let Some(ops) = counter.as_deref_mut() {
-            ops.adds += 1 + (k as u64).saturating_sub(2);
-        }
+        ops.adds += 1 + (k as u64).saturating_sub(2);
     }
     for term in poly.terms() {
         let needs_coeff_mul = coeff_needs_mul(&term.coeff);
@@ -200,9 +208,7 @@ fn accumulate_pair(
             for sum in sums.iter_mut() {
                 *sum += term.coeff;
             }
-            if let Some(ops) = counter.as_deref_mut() {
-                ops.adds += k as u64;
-            }
+            ops.adds += k as u64;
             continue;
         }
         for (t, sum) in sums.iter_mut().enumerate() {
@@ -217,11 +223,9 @@ fn accumulate_pair(
             }
             *sum += prod;
         }
-        if let Some(ops) = counter.as_deref_mut() {
-            let factor_muls = term.degree() as u64 - 1;
-            ops.product_muls += (k as u64) * (factor_muls + u64::from(needs_coeff_mul));
-            ops.adds += k as u64;
-        }
+        let factor_muls = term.degree() as u64 - 1;
+        ops.product_muls += (k as u64) * (factor_muls + u64::from(needs_coeff_mul));
+        ops.adds += k as u64;
     }
 }
 
@@ -255,64 +259,17 @@ fn fold_mles(mles: &mut [Mle], r: Fr, threads: usize) {
     }
 }
 
-fn round_evals_counted(
-    poly: &CompositePoly,
-    mles: &[Mle],
-    k: usize,
-    ops: &mut SumcheckOps,
-) -> Vec<Fr> {
+/// The reference round: every pair through [`accumulate_pair`].
+fn round_evals_counted(poly: &CompositePoly, mles: &[Mle], ops: &mut SumcheckOps) -> Vec<Fr> {
+    // At least two evaluation points: the verifier always checks
+    // s(0) + s(1), even for a degree-0 composite.
+    let k = poly.degree().max(1) + 1;
     let half = mles[0].len() / 2;
     let unique: Vec<usize> = poly.unique_mles().iter().map(|id| id.0).collect();
     let mut ext = vec![vec![Fr::ZERO; k]; poly.num_mles()];
     let mut sums = vec![Fr::ZERO; k];
     for j in 0..half {
-        accumulate_pair(poly, mles, &unique, j, k, &mut ext, &mut sums, Some(ops));
-    }
-    sums
-}
-
-fn round_evals_parallel(poly: &CompositePoly, mles: &[Mle], k: usize, threads: usize) -> Vec<Fr> {
-    let half = mles[0].len() / 2;
-    let threads = threads.min(half.max(1));
-    if threads <= 1 || half < 1024 {
-        let unique: Vec<usize> = poly.unique_mles().iter().map(|id| id.0).collect();
-        let mut ext = vec![vec![Fr::ZERO; k]; poly.num_mles()];
-        let mut sums = vec![Fr::ZERO; k];
-        for j in 0..half {
-            accumulate_pair(poly, mles, &unique, j, k, &mut ext, &mut sums, None);
-        }
-        return sums;
-    }
-
-    let chunk = half.div_ceil(threads);
-    let unique: Vec<usize> = poly.unique_mles().iter().map(|id| id.0).collect();
-    let partials: Vec<Vec<Fr>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let unique = &unique;
-                scope.spawn(move || {
-                    let start = t * chunk;
-                    let end = ((t + 1) * chunk).min(half);
-                    let mut ext = vec![vec![Fr::ZERO; k]; poly.num_mles()];
-                    let mut sums = vec![Fr::ZERO; k];
-                    for j in start..end {
-                        accumulate_pair(poly, mles, unique, j, k, &mut ext, &mut sums, None);
-                    }
-                    sums
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("round-eval worker"))
-            .collect()
-    });
-
-    let mut sums = vec![Fr::ZERO; k];
-    for partial in partials {
-        for (s, p) in sums.iter_mut().zip(partial) {
-            *s += p;
-        }
+        accumulate_pair(poly, mles, &unique, j, &mut ext, &mut sums, ops);
     }
     sums
 }
@@ -373,6 +330,76 @@ mod tests {
         let (out2, _) = prove_instrumented(&poly, mles, &mut t2);
         assert_eq!(out1.proof, out2.proof);
         assert_eq!(out1.challenges, out2.challenges);
+    }
+
+    /// Production evaluator at each thread count against the reference:
+    /// same proof, same challenges.
+    fn assert_matches_reference(poly: &CompositePoly, mles: &[Mle], threads: &[usize], what: &str) {
+        let mut t = Transcript::new(b"test");
+        let (reference, _) = prove_instrumented(poly, mles.to_vec(), &mut t);
+        for &threads in threads {
+            let mut t = Transcript::new(b"test");
+            let out = prove_with_threads(poly, mles.to_vec(), &mut t, threads);
+            assert_eq!(out.proof, reference.proof, "{what}, threads={threads}");
+            assert_eq!(
+                out.challenges, reference.challenges,
+                "{what}, threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn gate_library_matches_reference() {
+        // Every Table I gate and the two high-degree gates of the
+        // benchmark, on bindings with the paper's sparsity; 2^11 rows
+        // cross the parallel threshold (1024 pairs).
+        let mut gates = zkphire_poly::table1_gates();
+        gates.push(zkphire_poly::high_degree_gate(16));
+        gates.push(zkphire_poly::high_degree_gate(32));
+        let mut rng = StdRng::seed_from_u64(17);
+        for (g, gate) in gates.iter().enumerate() {
+            let scalars: Vec<Fr> = (0..gate.poly.num_scalars())
+                .map(|_| Fr::random(&mut rng))
+                .collect();
+            let poly = gate.poly.specialize(&scalars);
+            for num_vars in [1usize, 4, 11] {
+                let mles =
+                    zkphire_poly::sparsity::random_binding(&mut rng, &gate.mle_kinds, num_vars);
+                let what = format!("gate {g} ({}), num_vars={num_vars}", gate.name);
+                assert_matches_reference(&poly, &mles, &[1, 3], &what);
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_composites_match_reference() {
+        let term = |coeff: Fr, factors: &[usize]| Term {
+            coeff,
+            scalars: vec![],
+            factors: factors.iter().map(|&i| MleId(i)).collect(),
+        };
+        for (what, terms) in [
+            ("degree 0", vec![term(Fr::from_u64(5), &[])]),
+            (
+                "two constants",
+                vec![term(Fr::from_u64(5), &[]), term(-Fr::ONE, &[])],
+            ),
+            ("K = 2, one factor", vec![term(Fr::ONE, &[0])]),
+            (
+                "K = 2, coefficient and constant",
+                vec![term(-Fr::from_u64(3), &[1]), term(Fr::from_u64(7), &[])],
+            ),
+            ("single term", vec![term(Fr::from_u64(2), &[0, 1, 1, 1, 2])]),
+            ("single power", vec![term(Fr::ONE, &[0; 9])]),
+        ] {
+            let poly = CompositePoly::new(terms);
+            for num_vars in [1usize, 3] {
+                // An unbound composite (degree 0) still needs one table
+                // to fix the hypercube.
+                let mles = random_mles(poly.num_mles().max(1), num_vars, 5);
+                assert_matches_reference(&poly, &mles, &[2], what);
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! against naive double-and-add, and the parallel SumCheck prover against
 //! the single-threaded transcript, on seeded random inputs. Plus the sweep
 //! across the projective / batched-affine bucket crossover and the
-//! proof-bytes pin that keep MSM kernel changes output-neutral.
+//! proof-bytes pin that keep MSM kernel changes output-neutral, and the
+//! production SumCheck round evaluator against the counted reference on
+//! random composites over dense, binary, sparse and all-zero tables.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -12,8 +14,9 @@ use zkphire_curve::{batch_normalize, msm_naive, msm_with_ops_threads, G1Affine, 
 use zkphire_field::Fr;
 use zkphire_hyperplonk::{prove_with_config, setup, verify, Circuit, GateSystem, ProverConfig};
 use zkphire_poly::expr::{konst, var, GateExpr};
-use zkphire_poly::Mle;
-use zkphire_sumcheck::{prove_with_threads, verify_with_oracle};
+use zkphire_poly::sparsity::{random_dense, random_selector, random_sparse_witness};
+use zkphire_poly::{CompositePoly, Mle, MleId, Term};
+use zkphire_sumcheck::{prove_instrumented, prove_with_threads, verify_with_oracle};
 use zkphire_tests::fnv1a;
 use zkphire_transcript::Transcript;
 
@@ -116,6 +119,79 @@ proptest! {
 
         let mut tv = Transcript::new(b"hotpath");
         prop_assert!(verify_with_oracle(&poly, &mles, &reference.proof, &mut tv).is_ok());
+    }
+}
+
+/// A random composite shaped to reach every branch of the round plan:
+/// repeated factors up to power 9, coefficients from {1, -1, random}, an
+/// optional constant term and, with `common`, one slot multiplied into
+/// every non-constant term plus a term that is that slot alone.
+fn plan_composite(rng: &mut StdRng, common: bool) -> CompositePoly {
+    let coeff = |rng: &mut StdRng| match rng.gen_range(0u8..3) {
+        0 => Fr::ONE,
+        1 => -Fr::ONE,
+        _ => Fr::from_u64(rng.gen_range(2..1000)) * Fr::random(rng),
+    };
+    let term = |rng: &mut StdRng, factors: Vec<MleId>| Term {
+        coeff: coeff(rng),
+        scalars: vec![],
+        factors,
+    };
+    let slots = rng.gen_range(1usize..5);
+    let mut terms = Vec::new();
+    for _ in 0..rng.gen_range(1usize..6) {
+        let mut factors = Vec::new();
+        for _ in 0..rng.gen_range(1usize..4) {
+            let power = [1usize, 1, 1, 2, 3, 5, 9][rng.gen_range(0usize..7)];
+            factors.extend(vec![MleId(rng.gen_range(0..slots)); power]);
+        }
+        if common {
+            factors.push(MleId(slots));
+        }
+        terms.push(term(rng, factors));
+    }
+    if common {
+        terms.push(term(rng, vec![MleId(slots)]));
+    }
+    if rng.gen_ratio(1, 2) {
+        terms.push(term(rng, vec![]));
+    }
+    CompositePoly::new(terms)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The production round evaluator (degree classes, power chains,
+    /// common factor, zero-line skipping) produces the proof and the
+    /// challenges of the counted per-pair reference, and the proof
+    /// verifies, whatever mix of tables it is bound to.
+    #[test]
+    fn round_plan_matches_counted_reference(
+        seed in 0u64..100_000,
+        mu in 1usize..7,
+        common in 0u8..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let poly = plan_composite(&mut rng, common == 1);
+        let mles: Vec<Mle> = (0..poly.num_mles())
+            .map(|_| match rng.gen_range(0u8..4) {
+                0 => random_dense(&mut rng, mu),
+                1 => random_selector(&mut rng, mu),
+                2 => random_sparse_witness(&mut rng, mu),
+                _ => Mle::zero(mu),
+            })
+            .collect();
+
+        let mut tp = Transcript::new(b"hotpath/plan");
+        let out = prove_with_threads(&poly, mles.clone(), &mut tp, 2);
+        let mut tr = Transcript::new(b"hotpath/plan");
+        let (reference, _) = prove_instrumented(&poly, mles.clone(), &mut tr);
+        prop_assert_eq!(&out.proof, &reference.proof);
+        prop_assert_eq!(&out.challenges, &reference.challenges);
+
+        let mut tv = Transcript::new(b"hotpath/plan");
+        prop_assert!(verify_with_oracle(&poly, &mles, &out.proof, &mut tv).is_ok());
     }
 }
 
