@@ -38,7 +38,6 @@ use zkphire_serve::{
 use zkphire_telemetry as tele;
 use zkphire_telemetry::{WallEventKind, WallTimeline};
 
-use super::obs_exps::tele_guard;
 use crate::fmt_table;
 
 const SEED: u64 = 0x4e27;
@@ -98,12 +97,6 @@ pub fn net_with_args(args: &[String]) -> String {
          in-process path, then chaos (smoke={smoke})\n"
     );
 
-    // Hold the telemetry session guard for the whole experiment: every
-    // phase runs a real service whose wall events would pollute a
-    // concurrently recording experiment (the golden harness is
-    // threaded), even though only phase 2 records here.
-    let guard = tele_guard();
-
     // Phase 1: in-process baseline.
     let cfg = ServeConfig::new(vec![class])
         .with_seed(SEED)
@@ -136,9 +129,9 @@ pub fn net_with_args(args: &[String]) -> String {
     );
 
     // Phase 2: the same trace over a real loopback socket, with the
-    // wall-timeline recorder on.
-    tele::reset();
-    tele::set_enabled(true);
+    // wall-timeline recorder on: the server's threads join the session
+    // `NetServer::start` is called in.
+    let session = tele::Session::start();
     let cfg = ServeConfig::new(vec![class])
         .with_seed(SEED)
         .with_opts(replay_opts);
@@ -168,8 +161,7 @@ pub fn net_with_args(args: &[String]) -> String {
         Ok(r) => r,
         Err(e) => return format!("net: TCP drain failed: {e}\n"),
     };
-    tele::set_enabled(false);
-    let profile = tele::drain();
+    let profile = session.finish();
     let wall_tl = WallTimeline::from_events(&profile.wall_events);
 
     // Conservation is a hard gate on both sides of the socket.
@@ -263,7 +255,6 @@ pub fn net_with_args(args: &[String]) -> String {
         Ok(r) => r,
         Err(e) => return format!("net: chaos drain failed: {e}\n"),
     };
-    drop(guard);
     let cs = &chaos_report.stats;
     assert!(cs.protocol_errors >= 2, "garbage + oversized: {cs:?}");
     assert_eq!(cs.stalled_closes, 1, "{cs:?}");

@@ -24,8 +24,8 @@
 //! (`OBS_prover_trace.json`, `OBS_prover.jsonl`, `OBS_fleet_trace.json`,
 //! `OBS_fleet.jsonl`); the two `*_trace.json` files load directly in
 //! Perfetto / `chrome://tracing`. It also adds to section 1 the
-//! profiler's runtime-on vs -off overhead on that prove — wall-clock,
-//! so kept out of the flag-less golden output.
+//! profiler's overhead on that prove, inside vs outside a session —
+//! wall-clock, so kept out of the flag-less golden output.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -61,14 +61,6 @@ const PROVE_SEED: u64 = 0x0b5eed;
 
 /// Phase coverage and timer agreement tolerance (fraction).
 const RECONCILE_TOL: f64 = 0.01;
-
-/// The profiler is process-global; hold this while resetting/draining
-/// so concurrently running tests (the golden harness runs experiments
-/// from several test threads) cannot interleave their sessions.
-pub(crate) fn tele_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// FNV-1a 64-bit, the same hash the golden harness uses.
 fn fnv1a(s: &str) -> u64 {
@@ -132,10 +124,6 @@ pub fn obs_with_args(args: &[String]) -> String {
 fn prover_section(out: &mut String, with_overhead: bool) -> (String, String) {
     let mut rng = StdRng::seed_from_u64(PROVE_SEED);
     let (circuit, witness) = Circuit::random(GateSystem::Jellyfish, PROVE_MU, 0.5, &mut rng);
-    // Keygen's MSM workers record too: run it under the guard so it
-    // cannot spill into a session recording on another thread (the test
-    // harness runs experiments concurrently).
-    let guard = tele_guard();
     let (pk, vk) = setup(circuit, &mut rng);
 
     let prove = || {
@@ -147,15 +135,12 @@ fn prover_section(out: &mut String, with_overhead: bool) -> (String, String) {
         )
     };
 
-    tele::reset();
-    tele::set_enabled(true);
+    let session = tele::Session::start();
     let start = Instant::now();
     let proof = prove();
     let wall_ns = start.elapsed().as_nanos() as u64;
-    tele::set_enabled(false);
-    let profile = tele::drain();
+    let profile = session.finish();
     let overhead = with_overhead.then(|| overhead_pair(prove));
-    drop(guard);
     verify(&vk, &proof, &mut Transcript::new(b"obs/prover")).expect("obs proof must verify");
 
     profile
@@ -275,13 +260,9 @@ fn msm_probe(out: &mut String) {
     let mut rng = StdRng::seed_from_u64(PROVE_SEED ^ 0x5ca1a2);
     let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
 
-    let guard = tele_guard();
-    tele::reset();
-    tele::set_enabled(true);
+    let session = tele::Session::start();
     let (point, _ops) = msm_with_ops_threads(&points, &scalars, 1);
-    tele::set_enabled(false);
-    let profile = tele::drain();
-    drop(guard);
+    let profile = session.finish();
     std::hint::black_box(&point);
 
     let counter_rows: Vec<Vec<String>> = profile
@@ -317,27 +298,24 @@ fn msm_probe(out: &mut String) {
     out.push('\n');
 }
 
-/// Telemetry overhead of `prove`: best-of-3 wall time with recording
-/// runtime-off vs -on, as one output line. The hooks are compiled in
-/// (this crate enables `record`), so "off" measures the runtime gate —
-/// one relaxed load per hook — and "on" the full recording path;
+/// Telemetry overhead of `prove`: best-of-3 wall time outside any
+/// session vs inside one, as one output line. The hooks are compiled in
+/// (this crate enables `record`), so "off" measures the unbound path —
+/// one thread-local check per hook — and "on" the full recording path;
 /// alternating the two and taking each best-of-N filters the scheduler
 /// noise and host speed drift that dwarf the overhead at this size.
-/// The caller holds [`tele_guard`].
 fn overhead_pair<T>(prove: impl Fn() -> T) -> String {
     const REPS: usize = 3;
-    tele::reset();
     let mut best_ms = [f64::INFINITY; 2];
     for _ in 0..REPS {
-        for (enabled, best) in [false, true].into_iter().zip(&mut best_ms) {
-            tele::set_enabled(enabled);
+        for (recording, best) in [false, true].into_iter().zip(&mut best_ms) {
+            let session = recording.then(tele::Session::start);
             let start = Instant::now();
             std::hint::black_box(prove());
             *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+            drop(session); // discards the recorded rep's spans
         }
     }
-    tele::set_enabled(false);
-    tele::drain(); // discard the recorded reps' spans
     let [off_ms, on_ms] = best_ms;
     format!(
         "telemetry overhead (best of {REPS}): on {on_ms:.2} ms vs off {off_ms:.2} ms ({:+.2}%)\n",

@@ -17,14 +17,14 @@
 //!    and [`zkphire_serve::replay`] (wall time), with identical policy,
 //!    pool size, batch cap, and deadline knobs — the live side with the
 //!    wall-timeline recorder on and terminal outcomes streaming;
-//! 4. rebuild the [`WallTimeline`] from the drained telemetry profile
+//! 4. rebuild the [`WallTimeline`] from the finished telemetry session
 //!    and **assert reconciliation** ([`reconcile_wall`]): outcome
 //!    counts equal, worker busy-span integrals bitwise equal to the
 //!    summary's utilization numerators;
 //! 5. report per-tenant p50/p95/p99 side by side, decompose the
 //!    sim-vs-wall p99 gap into its measured contributors (dispatch
-//!    wakeup latency, loadgen arrival error), and write
-//!    `BENCH_serve.json` (schema v2).
+//!    wakeup latency, loadgen arrival error), and — under
+//!    `--out <path>` — write `BENCH_serve.json` (schema v2).
 //!
 //! Outcome conservation (every traced arrival completes on both sides)
 //! is a hard assertion — a run that drops work is a bug, not a data
@@ -49,7 +49,6 @@ use zkphire_serve::{reconcile_wall, replay, ProvingService, ServeConfig, ServeOp
 use zkphire_telemetry as tele;
 use zkphire_telemetry::{Histogram, WallTimeline};
 
-use super::obs_exps::tele_guard;
 use crate::fmt_table;
 
 /// Scenario constants: two equal-weight tenants, weighted-fair
@@ -86,8 +85,7 @@ pub fn serve_with_args(args: &[String]) -> String {
     let out_path = args
         .iter()
         .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_serve.json", String::as_str);
+        .and_then(|i| args.get(i + 1));
     let out_dir = args
         .iter()
         .position(|a| a == "--out-dir")
@@ -129,12 +127,9 @@ pub fn serve_with_args(args: &[String]) -> String {
         opts.prover_threads
     );
 
-    // The wall timeline records through the process-global profiler;
-    // hold the session guard so concurrently running experiments (the
-    // golden harness is threaded) cannot interleave.
-    let guard = tele_guard();
-    tele::reset();
-    tele::set_enabled(true);
+    // The wall timeline is recorded by the service's own threads, which
+    // join the session `ProvingService::start` is called in.
+    let session = tele::Session::start();
 
     // Terminal outcomes stream out as they resolve; the collector
     // thread turns them into JSONL lines live, the way a tailing
@@ -225,9 +220,7 @@ pub fn serve_with_args(args: &[String]) -> String {
         .join()
         .unwrap_or_else(|_| "outcome collector panicked\n".to_string());
 
-    tele::set_enabled(false);
-    let profile = tele::drain();
-    drop(guard);
+    let profile = session.finish();
     let wall_tl = WallTimeline::from_events(&profile.wall_events);
 
     // 4. Conservation is a hard gate: with no caps configured, every
@@ -385,29 +378,31 @@ pub fn serve_with_args(args: &[String]) -> String {
         }
     }
 
-    match std::fs::write(
-        out_path,
-        render_json(
-            smoke,
-            workers,
-            &calibration,
-            &sim_report.summary.per_tenant,
-            &wall_report.summary.per_tenant,
-            &GapFacts {
-                sim_p99_ms: sim_p99,
-                wall_p99_ms: wall_p99,
-                dispatch_wakeup_us: &wall_report.dispatch_wakeup_us,
-                arrival_error_us: &gen.arrival_error_us,
-                wall_events: wall_tl.events().len() as u64,
-                wall_epoch_ns: wall_tl.epoch_ns(),
-            },
-        ),
-    ) {
-        Ok(()) => {
-            let _ = writeln!(out, "wrote {out_path}");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "FAILED to write {out_path}: {e}");
+    if let Some(out_path) = out_path {
+        match std::fs::write(
+            out_path,
+            render_json(
+                smoke,
+                workers,
+                &calibration,
+                &sim_report.summary.per_tenant,
+                &wall_report.summary.per_tenant,
+                &GapFacts {
+                    sim_p99_ms: sim_p99,
+                    wall_p99_ms: wall_p99,
+                    dispatch_wakeup_us: &wall_report.dispatch_wakeup_us,
+                    arrival_error_us: &gen.arrival_error_us,
+                    wall_events: wall_tl.events().len() as u64,
+                    wall_epoch_ns: wall_tl.epoch_ns(),
+                },
+            ),
+        ) {
+            Ok(()) => {
+                let _ = writeln!(out, "wrote {out_path}");
+            }
+            Err(e) => {
+                let _ = writeln!(out, "FAILED to write {out_path}: {e}");
+            }
         }
     }
     out

@@ -8,7 +8,7 @@
 //! so the model and the real code path can never drift apart.
 
 use zkphire_poly::{CompositePoly, GateInfo, MleKind};
-use zkphire_sumcheck::coeff_needs_mul;
+use zkphire_sumcheck::{coeff_needs_mul, product_muls_per_pair};
 
 use crate::tech::ELEMENT_BYTES;
 
@@ -130,20 +130,18 @@ impl PolyProfile {
         }
     }
 
-    /// Total field multiplications for a full SumCheck at `2^mu` —
-    /// delegates to the same closed form the functional prover validates
-    /// ([`zkphire_sumcheck::count_ops`]), plus the `f_r` build cost.
+    /// Total field multiplications for a full SumCheck at `2^mu`: the
+    /// per-pair product count is the integer
+    /// [`zkphire_sumcheck::count_ops`] uses
+    /// ([`product_muls_per_pair`]), summed over the rounds with one
+    /// update multiplication per slot per pair, plus the `f_r` build
+    /// cost.
     pub fn total_muls(&self, mu: usize) -> f64 {
-        let k = self.degree() as u64 + 1;
-        let unique = self.unique_slots().len() as u64;
+        let per_pair = product_muls_per_pair(
+            self.degree() as u64 + 1,
+            self.terms.iter().map(|t| (t.degree(), t.coeff_needs_mul)),
+        );
         let num_slots = self.mle_kinds.len() as u64;
-        let mut per_pair = 0u64;
-        for t in &self.terms {
-            if t.degree() == 0 {
-                continue; // constant terms add, never multiply
-            }
-            per_pair += k * (t.degree() as u64 - 1 + u64::from(t.coeff_needs_mul));
-        }
         let mut total = 0f64;
         for round in 1..=mu {
             let half = (1u64 << (mu - round)) as f64;
@@ -153,7 +151,6 @@ impl PolyProfile {
         if self.eq_slot.is_some() {
             total += (1u64 << mu) as f64; // Build-MLE: one mul per entry
         }
-        let _ = unique;
         total
     }
 }

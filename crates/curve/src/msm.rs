@@ -143,6 +143,7 @@ pub fn msm_with_ops_threads(
             .collect()
     } else {
         let mut results = vec![(G1Projective::identity(), MsmOps::default()); num_windows];
+        let session = tele::current();
         std::thread::scope(|scope| {
             // Hand each worker a disjoint strided set of result slots.
             let mut slots: Vec<Vec<(usize, &mut (G1Projective, MsmOps))>> =
@@ -151,8 +152,9 @@ pub fn msm_with_ops_threads(
                 slots[w % workers].push((w, slot));
             }
             for worker_slots in slots {
-                let digits = &digits;
+                let (digits, session) = (&digits, &session);
                 scope.spawn(move || {
+                    let _recording = session.enter();
                     let mut arena = BucketArena::new(window_bits, points.len());
                     for (w, slot) in worker_slots {
                         *slot = window_sum_signed(points, digits, num_windows, w, &mut arena);
@@ -291,7 +293,7 @@ fn window_sum_signed(
             .proj_buckets
             .iter_mut()
             .for_each(|b| *b = G1Projective::identity());
-        let mut occupancy = if tele::is_enabled() {
+        let mut occupancy = if tele::is_recording() {
             vec![0u32; arena.proj_buckets.len()]
         } else {
             Vec::new()
@@ -350,7 +352,7 @@ fn window_sum_signed(
     for b in 0..bucket_count {
         arena.starts[b + 1] = arena.starts[b] + arena.lens[b];
     }
-    if tele::is_enabled() {
+    if tele::is_recording() {
         // Occupancy of the hit buckets only — this is the distribution
         // the pair-reduction pass count is logarithmic in. The set of
         // samples is window-determined, so the merged histogram is

@@ -196,6 +196,15 @@ impl RetryPolicy {
         self
     }
 
+    /// The stream [`Self::backoff_ms`] draws its jitter from, in the DES
+    /// and the live service alike: `seed` XORed with a dedicated tag, so
+    /// jitter draws never alias the failure-timing stream `seed` itself
+    /// feeds, and a sim run and a serve run of one scenario draw
+    /// identical backoffs.
+    pub fn jitter_stream(seed: u64) -> SplitMix64 {
+        SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15)
+    }
+
     /// Backoff before retry number `attempt` (1-based), jittered.
     pub fn backoff_ms(&self, attempt: u32, rng: &mut SplitMix64) -> f64 {
         assert!(attempt >= 1, "attempt numbering starts at 1");

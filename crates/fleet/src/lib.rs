@@ -126,7 +126,8 @@ pub use scale::{
     StaticScale, UtilizationTargetScale,
 };
 pub use sim::{
-    simulate, simulate_poisson_fleet, uniform_trace, FleetConfig, SimReport, TraceEntry,
+    resolve_tenant_cap, simulate, simulate_poisson_fleet, uniform_trace, FleetConfig, SimReport,
+    TraceEntry,
 };
 pub use zkphire_telemetry::{
     AdmissionOutcome, ChipPhase, ChipSpan, Outcome, SeriesPoint, SimTimeline,

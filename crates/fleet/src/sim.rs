@@ -35,10 +35,6 @@ use crate::scale::{
 use zkphire_core::costdb::CostModel;
 use zkphire_telemetry::{AdmissionOutcome, SimTimeline};
 
-/// Dedicated stream tag for retry-backoff jitter, XORed into the fault
-/// seed so jitter draws never alias the failure-timing stream.
-const RETRY_STREAM: u64 = 0x9e37_79b9_7f4a_7c15;
-
 // SimError grew beyond the simulator (the event queue and metrics
 // report through it too) and lives in `crate::error`; re-exported here
 // so `sim::SimError` paths keep compiling.
@@ -190,12 +186,22 @@ impl FleetConfig {
     /// The queued-request cap admission enforces for `tenant`:
     /// its `tenant_caps` entry, else the default cap, else `None`.
     pub fn tenant_cap(&self, tenant: TenantId) -> Option<usize> {
-        self.tenant_caps
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, cap)| *cap)
-            .or(self.default_tenant_cap)
+        resolve_tenant_cap(&self.tenant_caps, self.default_tenant_cap, tenant)
     }
+}
+
+/// The per-tenant admission-cap rule, shared by the DES and the live
+/// service: the tenant's entry in `caps`, else `default`, else `None`
+/// (unlimited).
+pub fn resolve_tenant_cap(
+    caps: &[(TenantId, usize)],
+    default: Option<usize>,
+    tenant: TenantId,
+) -> Option<usize> {
+    caps.iter()
+        .find(|(t, _)| *t == tenant)
+        .map(|(_, cap)| *cap)
+        .or(default)
 }
 
 /// One entry of the reproducible event trace.
@@ -396,7 +402,7 @@ pub fn simulate<S: ArrivalSource>(
         policy: cfg.policy.build_with(&cfg.tenant_weights),
         scaler: cfg.autoscale.as_ref().map(|a| a.kind.build()),
         faults: cfg.faults.clone().map(FaultModel::new),
-        retry_rng: SplitMix64::new(fault_seed ^ RETRY_STREAM),
+        retry_rng: RetryPolicy::jitter_stream(fault_seed),
         chips: (0..slots)
             .map(|i| Chip {
                 state: if i < initial_online {

@@ -25,10 +25,11 @@
 //! sim-vs-wall methodology.
 //!
 //! The run is observable in wall time as well: with
-//! `zkphire-telemetry`'s `record` feature on, every lifecycle
-//! transition (admission, dispatch, prove, verify, retry parking,
-//! shedding, terminal outcome) records a
-//! [`zkphire_telemetry::WallEvent`]; drain the telemetry profile into a
+//! `zkphire-telemetry`'s `record` feature on and the service started
+//! inside a [`zkphire_telemetry::Session`], every lifecycle transition
+//! (admission, dispatch, prove, verify, retry parking, shedding,
+//! terminal outcome) records a [`zkphire_telemetry::WallEvent`] into
+//! that session; rebuild its finished profile into a
 //! [`zkphire_telemetry::WallTimeline`] and [`reconcile_wall`] asserts
 //! it agrees with the [`ServeReport`] exactly — outcome counts as
 //! integers, worker busy integrals bitwise. Terminal outcomes can also

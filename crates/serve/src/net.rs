@@ -54,7 +54,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zkphire_fleet::{OutcomeRecord, RequestClass};
-use zkphire_telemetry::{wall_event, WallEventKind};
+use zkphire_telemetry::{self as tele, wall_event, WallEventKind};
 
 use crate::codec::{
     decode_frame, encode_frame, outcome_frame, ErrorCode, Frame, RejectReason, MAX_FRAME, VERSION,
@@ -270,6 +270,9 @@ impl NetServer {
             .map_err(|e| net_err("set_nonblocking", &e))?;
 
         let service = Arc::new(ProvingService::start(cfg)?);
+        // Every thread spawned below records into the same telemetry
+        // session as the fronted service's own: the one this call runs in.
+        let session = tele::current();
         let registry: Registry = Arc::new(Mutex::new(BTreeMap::new()));
         let stats = Arc::new(StatsInner::default());
         let draining = Arc::new(AtomicBool::new(false));
@@ -285,9 +288,11 @@ impl NetServer {
         let router = {
             let registry = Arc::clone(&registry);
             let stats = Arc::clone(&stats);
+            let session = session.clone();
             std::thread::Builder::new()
                 .name("zkphire-net-router".into())
                 .spawn(move || {
+                    let _recording = session.enter();
                     for rec in router_rx {
                         let tx = lock_or_recover(&registry).get(&rec.id).cloned();
                         if let Some(tx) = tx {
@@ -319,9 +324,11 @@ impl NetServer {
             let stats = Arc::clone(&stats);
             let draining = Arc::clone(&draining);
             let idle = Arc::clone(&idle);
+            let session = session.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("zkphire-net-handler-{h}"))
                 .spawn(move || {
+                    let _recording = session.enter();
                     handler_pool_loop(h, &rx, &service, &registry, &stats, &draining, &idle, opts)
                 })
                 .map_err(|e| ServeError::Invariant(format!("spawn net handler {h}: {e}")))?;
@@ -336,6 +343,7 @@ impl NetServer {
             std::thread::Builder::new()
                 .name("zkphire-net-acceptor".into())
                 .spawn(move || {
+                    let _recording = session.enter();
                     accept_loop(&listener, handler_txs, &service, &stats, &draining, &idle)
                 })
                 .map_err(|e| ServeError::Invariant(format!("spawn net acceptor: {e}")))?

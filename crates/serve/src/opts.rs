@@ -19,6 +19,7 @@
 //! | `ZKPHIRE_SERVE_IDLE_TIMEOUT_MS` | between-frame idle reaper (ms)    | `30000`                    |
 
 use std::net::SocketAddr;
+use std::str::FromStr;
 
 use crate::error::ServeError;
 
@@ -71,7 +72,7 @@ fn cores() -> usize {
 /// unset, and [`ServeError::InvalidEnv`] naming the variable when set
 /// but malformed. Split from the env read so the failure path is
 /// testable without mutating process env in a threaded test runner.
-fn parse_env_usize(var: &'static str, raw: Option<&str>) -> Result<Option<usize>, ServeError> {
+fn parse_env<T: FromStr>(var: &'static str, raw: Option<&str>) -> Result<Option<T>, ServeError> {
     match raw {
         None => Ok(None),
         Some(v) => v
@@ -86,49 +87,9 @@ fn parse_env_usize(var: &'static str, raw: Option<&str>) -> Result<Option<usize>
 }
 
 /// Reads and parses one `ZKPHIRE_SERVE_*` var from the process env.
-fn env_usize(var: &'static str) -> Result<Option<usize>, ServeError> {
+fn env<T: FromStr>(var: &'static str) -> Result<Option<T>, ServeError> {
     let raw = std::env::var(var).ok();
-    parse_env_usize(var, raw.as_deref())
-}
-
-/// Like [`parse_env_usize`] but for `u64` millisecond knobs.
-fn parse_env_u64(var: &'static str, raw: Option<&str>) -> Result<Option<u64>, ServeError> {
-    match raw {
-        None => Ok(None),
-        Some(v) => v
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| ServeError::InvalidEnv {
-                var,
-                value: v.to_string(),
-            }),
-    }
-}
-
-fn env_u64(var: &'static str) -> Result<Option<u64>, ServeError> {
-    let raw = std::env::var(var).ok();
-    parse_env_u64(var, raw.as_deref())
-}
-
-/// Like [`parse_env_usize`] but for the `host:port` bind address.
-fn parse_env_addr(var: &'static str, raw: Option<&str>) -> Result<Option<SocketAddr>, ServeError> {
-    match raw {
-        None => Ok(None),
-        Some(v) => v
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| ServeError::InvalidEnv {
-                var,
-                value: v.to_string(),
-            }),
-    }
-}
-
-fn env_addr(var: &'static str) -> Result<Option<SocketAddr>, ServeError> {
-    let raw = std::env::var(var).ok();
-    parse_env_addr(var, raw.as_deref())
+    parse_env(var, raw.as_deref())
 }
 
 /// Default loopback bind with an OS-assigned port. Built from parts
@@ -159,31 +120,31 @@ impl ServeOpts {
     /// it, rather than silently degrading to the default.
     pub fn from_env() -> Result<Self, ServeError> {
         let mut o = Self::default();
-        if let Some(w) = env_usize("ZKPHIRE_SERVE_WORKERS")? {
+        if let Some(w) = env::<usize>("ZKPHIRE_SERVE_WORKERS")? {
             o.workers = w.max(1);
             // Re-derive the per-worker thread budget for the explicit
             // worker count before its own override is consulted.
             o.prover_threads = (cores() / o.workers).max(1);
         }
-        if let Some(t) = env_usize("ZKPHIRE_SERVE_PROVER_THREADS")? {
+        if let Some(t) = env::<usize>("ZKPHIRE_SERVE_PROVER_THREADS")? {
             o.prover_threads = t.max(1);
         }
-        if let Some(b) = env_usize("ZKPHIRE_SERVE_MAX_BATCH")? {
+        if let Some(b) = env::<usize>("ZKPHIRE_SERVE_MAX_BATCH")? {
             o.max_batch = b.max(1);
         }
-        if let Some(c) = env_usize("ZKPHIRE_SERVE_QUEUE_CAP")? {
+        if let Some(c) = env::<usize>("ZKPHIRE_SERVE_QUEUE_CAP")? {
             o.queue_capacity = Some(c);
         }
-        if let Some(a) = env_addr("ZKPHIRE_SERVE_ADDR")? {
+        if let Some(a) = env::<SocketAddr>("ZKPHIRE_SERVE_ADDR")? {
             o.addr = a;
         }
-        if let Some(c) = env_usize("ZKPHIRE_SERVE_MAX_CONNS")? {
+        if let Some(c) = env::<usize>("ZKPHIRE_SERVE_MAX_CONNS")? {
             o.max_conns = c.max(1);
         }
-        if let Some(ms) = env_u64("ZKPHIRE_SERVE_READ_TIMEOUT_MS")? {
+        if let Some(ms) = env::<u64>("ZKPHIRE_SERVE_READ_TIMEOUT_MS")? {
             o.read_timeout_ms = ms.max(1);
         }
-        if let Some(ms) = env_u64("ZKPHIRE_SERVE_IDLE_TIMEOUT_MS")? {
+        if let Some(ms) = env::<u64>("ZKPHIRE_SERVE_IDLE_TIMEOUT_MS")? {
             o.idle_timeout_ms = ms.max(1);
         }
         Ok(o)
@@ -271,7 +232,7 @@ mod tests {
 
     #[test]
     fn unset_vars_fall_back_to_defaults() {
-        assert_eq!(parse_env_usize("ZKPHIRE_SERVE_WORKERS", None), Ok(None));
+        assert_eq!(parse_env::<usize>("ZKPHIRE_SERVE_WORKERS", None), Ok(None));
         // from_env against the real (clean) env parses to the defaults.
         if std::env::var_os("ZKPHIRE_SERVE_WORKERS").is_none() {
             assert!(ServeOpts::from_env().is_ok());
@@ -281,11 +242,11 @@ mod tests {
     #[test]
     fn set_vars_parse_with_whitespace_tolerance() {
         assert_eq!(
-            parse_env_usize("ZKPHIRE_SERVE_MAX_BATCH", Some(" 16 ")),
+            parse_env::<usize>("ZKPHIRE_SERVE_MAX_BATCH", Some(" 16 ")),
             Ok(Some(16))
         );
         assert_eq!(
-            parse_env_usize("ZKPHIRE_SERVE_QUEUE_CAP", Some("0")),
+            parse_env::<usize>("ZKPHIRE_SERVE_QUEUE_CAP", Some("0")),
             Ok(Some(0))
         );
     }
@@ -307,31 +268,34 @@ mod tests {
     #[test]
     fn net_vars_parse_with_whitespace_tolerance() {
         assert_eq!(
-            parse_env_addr("ZKPHIRE_SERVE_ADDR", Some(" 127.0.0.1:7000 ")),
+            parse_env::<SocketAddr>("ZKPHIRE_SERVE_ADDR", Some(" 127.0.0.1:7000 ")),
             Ok(Some(SocketAddr::from(([127, 0, 0, 1], 7000))))
         );
         assert_eq!(
-            parse_env_usize("ZKPHIRE_SERVE_MAX_CONNS", Some("4")),
+            parse_env::<usize>("ZKPHIRE_SERVE_MAX_CONNS", Some("4")),
             Ok(Some(4))
         );
         assert_eq!(
-            parse_env_u64("ZKPHIRE_SERVE_READ_TIMEOUT_MS", Some(" 250 ")),
+            parse_env::<u64>("ZKPHIRE_SERVE_READ_TIMEOUT_MS", Some(" 250 ")),
             Ok(Some(250))
         );
         assert_eq!(
-            parse_env_u64("ZKPHIRE_SERVE_IDLE_TIMEOUT_MS", Some("1000")),
+            parse_env::<u64>("ZKPHIRE_SERVE_IDLE_TIMEOUT_MS", Some("1000")),
             Ok(Some(1000))
         );
-        assert_eq!(parse_env_addr("ZKPHIRE_SERVE_ADDR", None), Ok(None));
         assert_eq!(
-            parse_env_u64("ZKPHIRE_SERVE_READ_TIMEOUT_MS", None),
+            parse_env::<SocketAddr>("ZKPHIRE_SERVE_ADDR", None),
+            Ok(None)
+        );
+        assert_eq!(
+            parse_env::<u64>("ZKPHIRE_SERVE_READ_TIMEOUT_MS", None),
             Ok(None)
         );
     }
 
     #[test]
     fn malformed_net_vars_fail_naming_the_variable() {
-        let addr_err = parse_env_addr("ZKPHIRE_SERVE_ADDR", Some("localhost-no-port"))
+        let addr_err = parse_env::<SocketAddr>("ZKPHIRE_SERVE_ADDR", Some("localhost-no-port"))
             .expect_err("hostless addr must fail");
         assert_eq!(
             addr_err,
@@ -346,9 +310,9 @@ mod tests {
             ("ZKPHIRE_SERVE_IDLE_TIMEOUT_MS", "-3"),
         ] {
             let err = if var == "ZKPHIRE_SERVE_MAX_CONNS" {
-                parse_env_usize(var, Some(bad)).expect_err("malformed must fail")
+                parse_env::<usize>(var, Some(bad)).expect_err("malformed must fail")
             } else {
-                parse_env_u64(var, Some(bad)).expect_err("malformed must fail")
+                parse_env::<u64>(var, Some(bad)).expect_err("malformed must fail")
             };
             let msg = err.to_string();
             assert!(msg.contains(var), "message names the variable: {msg}");
@@ -367,7 +331,7 @@ mod tests {
             ("ZKPHIRE_SERVE_MAX_BATCH", "-1"),
             ("ZKPHIRE_SERVE_QUEUE_CAP", ""),
         ] {
-            let err = parse_env_usize(var, Some(bad)).expect_err("malformed must fail");
+            let err = parse_env::<usize>(var, Some(bad)).expect_err("malformed must fail");
             assert_eq!(
                 err,
                 ServeError::InvalidEnv {

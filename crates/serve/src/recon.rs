@@ -21,10 +21,10 @@ use crate::error::ServeError;
 /// integral bitwise equal to the busy time behind the summary's
 /// per-chip utilization.
 ///
-/// An empty timeline (recording disabled, or the `record` feature off)
-/// reconciles only with an empty run — callers gate on
-/// [`zkphire_telemetry::is_enabled`] before treating success as
-/// evidence.
+/// An empty timeline (the service was started on a thread bound to no
+/// [`zkphire_telemetry::Session`], or the `record` feature is off)
+/// reconciles only with an empty run — callers that recorded assert
+/// the timeline is non-empty before treating success as evidence.
 ///
 /// # Errors
 ///

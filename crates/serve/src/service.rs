@@ -35,14 +35,15 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkphire_fleet::{
-    try_summarize, BatchPolicy, BrownOutConfig, FleetSummary, Outcome, OutcomeRecord, PolicyKind,
-    Request, RequestClass, RequestRecord, RetryPolicy, RunAccumulators, SplitMix64, TenantId,
+    resolve_tenant_cap, try_summarize, BatchPolicy, BrownOutConfig, FleetSummary, Outcome,
+    OutcomeRecord, PolicyKind, Request, RequestClass, RequestRecord, RetryPolicy, RunAccumulators,
+    SplitMix64, TenantId,
 };
 use zkphire_hyperplonk::{
     prove_with_config, setup_with_threads, verify, Circuit, GateSystem, ProverConfig, ProvingKey,
     VerifyingKey, Witness,
 };
-use zkphire_telemetry::{wall_event, Histogram, WallEventKind};
+use zkphire_telemetry::{self as tele, wall_event, Histogram, WallEventKind};
 use zkphire_transcript::Transcript;
 
 use crate::error::ServeError;
@@ -50,10 +51,6 @@ use crate::opts::ServeOpts;
 
 /// Transcript domain for every proof the service produces.
 const DOMAIN: &[u8] = b"zkphire-serve/v1";
-
-/// Same stream tag the simulator XORs into its retry-jitter seed, so a
-/// serve run and a sim run of one scenario draw identical backoffs.
-const RETRY_STREAM: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Maps the fleet layer's protocol-level gate tag onto the prover's
 /// arithmetization.
@@ -199,14 +196,10 @@ impl ServeConfig {
         self
     }
 
-    /// The queued-request cap admission enforces for `tenant` — same
-    /// resolution rule as [`zkphire_fleet::FleetConfig::tenant_cap`].
+    /// The queued-request cap admission enforces for `tenant` — the
+    /// simulator's rule ([`resolve_tenant_cap`]).
     pub fn tenant_cap(&self, tenant: TenantId) -> Option<usize> {
-        self.tenant_caps
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, cap)| *cap)
-            .or(self.default_tenant_cap)
+        resolve_tenant_cap(&self.tenant_caps, self.default_tenant_cap, tenant)
     }
 }
 
@@ -443,6 +436,10 @@ impl ProvingService {
             cfg,
         });
 
+        // The service's threads record into the telemetry session this
+        // call runs in (none: they record nothing); each flushes when
+        // `shutdown` joins it.
+        let session = tele::current();
         let (ctrl_tx, ctrl_rx) = mpsc::channel();
         let mut worker_txs = Vec::new();
         let mut workers = Vec::new();
@@ -452,9 +449,13 @@ impl ProvingService {
             let assets = Arc::clone(&assets);
             let ctrl = ctrl_tx.clone();
             let inner = Arc::clone(&inner);
+            let session = session.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("zkphire-serve-worker-{w}"))
-                .spawn(move || worker_loop(w, &inner, &assets, &rx, &ctrl, threads))
+                .spawn(move || {
+                    let _recording = session.enter();
+                    worker_loop(w, &inner, &assets, &rx, &ctrl, threads)
+                })
                 .map_err(|e| ServeError::Invariant(format!("spawn worker {w}: {e}")))?;
             workers.push(handle);
         }
@@ -462,7 +463,10 @@ impl ProvingService {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("zkphire-serve-dispatcher".into())
-                .spawn(move || dispatcher_loop(&inner, &ctrl_rx, worker_txs))
+                .spawn(move || {
+                    let _recording = session.enter();
+                    dispatcher_loop(&inner, &ctrl_rx, worker_txs)
+                })
                 .map_err(|e| ServeError::Invariant(format!("spawn dispatcher: {e}")))?
         };
 
@@ -850,7 +854,7 @@ fn dispatcher_loop(
             })
             .collect(),
         parked: BTreeMap::new(),
-        retry_rng: SplitMix64::new(inner.cfg.seed ^ RETRY_STREAM),
+        retry_rng: RetryPolicy::jitter_stream(inner.cfg.seed),
         out: DispatcherOut {
             records: Vec::new(),
             busy_ms: vec![0.0; n_workers],

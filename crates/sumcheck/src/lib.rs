@@ -45,7 +45,7 @@ mod verifier;
 pub mod zerocheck;
 
 pub use interp::{interpolate_at, BarycentricWeights};
-pub use ops::{coeff_needs_mul, count_ops, SumcheckOps};
+pub use ops::{coeff_needs_mul, count_ops, product_muls_per_pair, SumcheckOps};
 pub use prover::{prove, prove_instrumented, prove_with_threads, ProverOutput, SumCheckProof};
 pub use verifier::{verify, verify_with_oracle, SumCheckError, VerifiedSumCheck};
 pub use zerocheck::{eq_eval, prove_zero_check, prove_zero_check_with_threads, verify_zero_check};

@@ -37,6 +37,20 @@ pub fn coeff_needs_mul(coeff: &Fr) -> bool {
     !(coeff.is_one() || (-*coeff).is_one())
 }
 
+/// Product-lane multiplications per pair of table entries — the same
+/// in every round: at each of the `k` extension points every
+/// non-constant term multiplies its factors (`degree - 1` muls) plus one
+/// more when its coefficient is not ±1. `terms` yields each term's
+/// `(degree, coeff_needs_mul)`. The one integer behind both
+/// [`count_ops`] and the accelerator model's `PolyProfile::total_muls`.
+pub fn product_muls_per_pair(k: u64, terms: impl IntoIterator<Item = (usize, bool)>) -> u64 {
+    terms
+        .into_iter()
+        .filter(|&(degree, _)| degree > 0) // constant terms add, never multiply
+        .map(|(degree, coeff_mul)| k * (degree as u64 - 1 + u64::from(coeff_mul)))
+        .sum()
+}
+
 /// Counts the field operations of a SumCheck over `poly` on `num_vars`
 /// variables, matching the reference prover exactly.
 ///
@@ -54,16 +68,12 @@ pub fn count_ops(poly: &CompositePoly, num_vars: usize) -> SumcheckOps {
     let unique = poly.unique_mles().len() as u64;
     let num_mles = poly.num_mles() as u64;
 
-    // Per-pair product muls (independent of the round).
-    let mut product_muls_per_pair = 0u64;
-    for term in poly.terms() {
-        if term.degree() == 0 {
-            continue; // constant terms add, never multiply
-        }
-        let factor_muls = term.degree() as u64 - 1;
-        let coeff_mul = u64::from(coeff_needs_mul(&term.coeff));
-        product_muls_per_pair += k * (factor_muls + coeff_mul);
-    }
+    let product_muls_per_pair = product_muls_per_pair(
+        k,
+        poly.terms()
+            .iter()
+            .map(|t| (t.degree(), coeff_needs_mul(&t.coeff))),
+    );
     // Per-pair adds: per unique MLE one diff + (K-2) extension increments
     // (the first two points are read directly); per term per point one
     // accumulate add.

@@ -6,10 +6,13 @@
 //! 1. **Wall-clock profiler** ([`span`] / [`counter_add`] /
 //!    [`hist_record`]): ambient instrumentation for the prover hot
 //!    path. Feature-gated (`record`) static dispatch — disabled builds
-//!    compile every hook to nothing; enabled builds still gate on a
-//!    runtime atomic ([`set_enabled`]) and record into thread-local
-//!    buffers with no allocation on the hot path. Drain a [`Profile`]
-//!    and export it with [`profile_to_chrome`] / [`profile_to_jsonl`].
+//!    compile every hook to nothing; enabled builds record only on
+//!    threads bound to a [`Session`], into thread-local buffers with no
+//!    allocation on the hot path. A recording is an owned handle:
+//!    [`Session::start`] → run → [`Session::finish`] returns the
+//!    [`Profile`]; threads spawned along the way join through
+//!    [`current`] + [`SessionRef::enter`]. Export the profile with
+//!    [`profile_to_chrome`] / [`profile_to_jsonl`].
 //! 2. **Sim-time timeline** ([`SimTimeline`]): explicit, always-compiled
 //!    data the fleet DES opts into at runtime. Every timestamp is
 //!    deterministic simulated time, so traces are byte-identical per
@@ -18,7 +21,7 @@
 //! 3. **Wall-clock timeline** ([`WallTimeline`]): the live proving
 //!    service's counterpart to the sim timeline. Lifecycle hooks
 //!    ([`wall_event`]) ride the same feature-gated thread-local buffers
-//!    as the profiler; the drained events rebuild into per-request
+//!    as the profiler; the finished session's events rebuild into per-request
 //!    lifecycle phases, per-worker busy spans, and queue-depth series
 //!    that reconcile with the service's own drain summary (see the
 //!    module docs in [`wall`]).
@@ -32,8 +35,8 @@ pub mod trace;
 pub mod wall;
 
 pub use profile::{
-    counter_add, drain, hist_merge, hist_record, is_enabled, reset, set_enabled, span, wall_event,
-    Histogram, Profile, Span, SpanRecord,
+    counter_add, current, hist_merge, hist_record, is_recording, span, wall_event, Entered,
+    Histogram, Profile, Session, SessionRef, Span, SpanRecord,
 };
 pub use timeline::{
     AdmissionEvent, AdmissionOutcome, ChipPhase, ChipSpan, SeriesPoint, SimTimeline,

@@ -7,25 +7,30 @@
 //! * **Static dispatch, zero cost when disabled.** Every hook
 //!   ([`span`], [`counter_add`], [`hist_record`]) is an `#[inline]`
 //!   function; without the `record` feature the bodies are empty and
-//!   vanish at compile time, so the instrumented prover carries no
-//!   telemetry code at all.
+//!   vanish at compile time and the session types ([`Session`],
+//!   [`SessionRef`], [`Entered`]) are zero-sized, so the instrumented
+//!   prover carries no telemetry code at all.
 //! * **No allocation on the hot path.** Spans are fixed-size records
 //!   pushed into a pre-reserved thread-local buffer; counter and
 //!   histogram names are `&'static str`, matched by linear scan over a
 //!   handful of entries; histograms are fixed 64-bucket arrays.
 //! * **Thread-local span stacks.** Each thread tracks its own nesting
-//!   depth; records carry `(tid, depth)` so the drained profile can
+//!   depth; records carry `(tid, depth)` so the finished profile can
 //!   prove every exit matched an enter ([`Profile::check_well_formed`]).
-//!   Worker threads flush their buffers into the global sink from their
-//!   TLS destructor, so scoped-thread parallelism (the MSM and SumCheck
-//!   workers) needs no per-event synchronization — one mutex lock per
-//!   thread lifetime, not per event. Because `std::thread::scope`
-//!   unblocks when a worker's closure returns (possibly before its TLS
-//!   destructor runs), [`drain`] waits for outstanding thread-locals to
-//!   deregister before collecting.
-//! * **Runtime gate on top.** [`set_enabled`] flips one atomic; when
-//!   off (the default), an armed build still records nothing and each
-//!   hook costs one relaxed load and a branch.
+//! * **A recording is an owned handle.** [`Session::start`] binds the
+//!   calling thread (tid 0) to a sink the session owns and
+//!   [`Session::finish`] returns the [`Profile`]. A hook on a thread
+//!   bound to no session does nothing — one thread-local check — so
+//!   there is no process-wide switch, and sessions open on different
+//!   threads at once each see only their own work.
+//! * **Threads join a session explicitly.** Code about to spawn threads
+//!   that call hooks (the MSM window workers, the service's long-lived
+//!   threads) takes [`current`] and has each thread hold
+//!   [`SessionRef::enter`]'s guard. The guard flushes the thread's
+//!   buffer into *that session's* sink when it drops — one mutex lock
+//!   per binding, not per event — and it drops inside the thread's
+//!   closure, so the flush has landed before `thread::scope` returns or
+//!   `JoinHandle::join` does: `finish` has nothing to wait for.
 
 use std::collections::BTreeMap;
 
@@ -40,8 +45,8 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration (ns).
     pub dur_ns: u64,
-    /// Recorder-assigned thread index (0 = first thread to record
-    /// after the last [`reset`]).
+    /// Session-assigned thread index, in binding order (0 = the thread
+    /// that called [`Session::start`]).
     pub tid: u32,
     /// Nesting depth at entry (0 = top-level).
     pub depth: u32,
@@ -124,7 +129,8 @@ impl Histogram {
     }
 }
 
-/// Everything one recording session produced, returned by [`drain`].
+/// Everything one recording session produced, returned by
+/// [`Session::finish`].
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// Finished spans, in flush order (per-thread exit order).
@@ -134,8 +140,8 @@ pub struct Profile {
     /// Named histograms, merged across threads.
     pub hists: BTreeMap<&'static str, Histogram>,
     /// Wall events from [`wall_event`] hooks (the live service's
-    /// request-lifecycle stream), sorted by `(t_ns, tid, seq)` at drain
-    /// — a deterministic order that preserves each thread's record
+    /// request-lifecycle stream), sorted by `(t_ns, tid, seq)` at
+    /// finish — a deterministic order that preserves each thread's record
     /// sequence. Feed them to
     /// [`crate::wall::WallTimeline::from_events`].
     pub wall_events: Vec<WallEvent>,
@@ -225,53 +231,30 @@ impl Profile {
 mod recorder {
     use super::{Histogram, Profile, SpanRecord, WallEvent, WallEventKind};
     use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
     use std::time::Instant;
 
     /// Flush a thread's span buffer into the sink at this many records.
     const FLUSH_AT: usize = 4096;
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    /// Bumped by [`reset`]; thread-locals adopt the new epoch lazily and
-    /// discard anything recorded under an old one.
-    static EPOCH: AtomicU64 = AtomicU64::new(0);
-
-    struct Sink {
+    /// What one session's threads flush into.
+    #[derive(Default)]
+    pub struct Sink {
         spans: Vec<SpanRecord>,
         counters: Vec<(&'static str, u64)>,
         hists: Vec<(&'static str, Histogram)>,
         walls: Vec<WallEvent>,
         next_tid: u32,
-        /// Thread-locals registered under the current epoch whose final
-        /// (destructor) flush has not landed yet. `drain` waits for this
-        /// to fall to 1 (itself): `std::thread::scope` unblocks when a
-        /// worker's *closure* returns, which can be before the worker's
-        /// TLS destructor has flushed, so without the wait a drain racing
-        /// a just-joined scope could miss worker data.
-        live_locals: u32,
     }
 
-    fn sink() -> &'static Mutex<Sink> {
-        static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
-        SINK.get_or_init(|| {
-            Mutex::new(Sink {
-                spans: Vec::new(),
-                counters: Vec::new(),
-                hists: Vec::new(),
-                walls: Vec::new(),
-                next_tid: 0,
-                live_locals: 0,
-            })
-        })
-    }
+    pub type SharedSink = Arc<Mutex<Sink>>;
 
     /// The sink mutex guards plain data with no invariants that a
     /// panicking holder could break mid-update, so a poisoned lock is
     /// recovered rather than propagated — the telemetry layer must
     /// never take the instrumented program down.
-    fn sink_lock() -> MutexGuard<'static, Sink> {
-        sink().lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(sink: &Mutex<Sink>) -> MutexGuard<'_, Sink> {
+        sink.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn clock() -> &'static Instant {
@@ -279,16 +262,34 @@ mod recorder {
         CLOCK.get_or_init(Instant::now)
     }
 
-    pub fn now_ns() -> u64 {
+    fn now_ns() -> u64 {
         clock().elapsed().as_nanos() as u64
     }
 
-    struct Local {
-        epoch: u64,
+    /// The entry for `name`, appended (as `T::default()`) on first use.
+    /// Linear scan: a session names a handful of counters and histograms.
+    fn entry<'a, T: Default>(
+        list: &'a mut Vec<(&'static str, T)>,
+        name: &'static str,
+    ) -> &'a mut T {
+        let i = match list.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                list.push((name, T::default()));
+                list.len() - 1
+            }
+        };
+        &mut list[i].1
+    }
+
+    /// One thread's binding to a session: where it flushes, who it is
+    /// there, and what it has buffered since the last flush.
+    pub struct Local {
+        sink: SharedSink,
         tid: u32,
         depth: u32,
         /// Per-thread wall-event sequence number (record order within
-        /// this thread, preserved by the drain sort's tie-break).
+        /// this thread, preserved by the finish sort's tie-break).
         seq: u64,
         spans: Vec<SpanRecord>,
         counters: Vec<(&'static str, u64)>,
@@ -297,105 +298,85 @@ mod recorder {
     }
 
     impl Local {
-        fn flush(&mut self) {
-            if self.spans.is_empty()
-                && self.counters.is_empty()
-                && self.hists.is_empty()
-                && self.walls.is_empty()
-            {
-                return;
+        fn new(sink: SharedSink) -> Self {
+            let tid = {
+                let mut sink = lock(&sink);
+                sink.next_tid += 1;
+                sink.next_tid - 1
+            };
+            Local {
+                sink,
+                tid,
+                depth: 0,
+                seq: 0,
+                spans: Vec::new(),
+                counters: Vec::new(),
+                hists: Vec::new(),
+                walls: Vec::new(),
             }
-            // One lock per flush (≥ FLUSH_AT events or thread exit),
-            // never per event.
-            let mut sink = sink_lock();
+        }
+
+        /// One lock per flush (≥ FLUSH_AT events or the end of the
+        /// binding), never per event.
+        fn flush(&mut self) {
+            let mut sink = lock(&self.sink);
             sink.spans.append(&mut self.spans);
             sink.walls.append(&mut self.walls);
             for (name, v) in self.counters.drain(..) {
-                match sink.counters.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, total)) => *total += v,
-                    None => sink.counters.push((name, v)),
-                }
+                *entry(&mut sink.counters, name) += v;
             }
             for (name, h) in self.hists.drain(..) {
-                match sink.hists.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, total)) => total.merge(&h),
-                    None => sink.hists.push((name, h)),
-                }
-            }
-        }
-    }
-
-    impl Drop for Local {
-        fn drop(&mut self) {
-            // Thread exit: hand everything to the sink. Stale-epoch data
-            // is filtered below (epoch mismatch discards, not flushes).
-            if self.epoch == EPOCH.load(Ordering::Relaxed) {
-                self.flush();
-            }
-            // Deregister, re-checking the epoch under the sink lock: if a
-            // reset slipped in after the flush above, the new epoch's
-            // count does not include this local and must not be touched.
-            let mut sink = sink_lock();
-            if self.epoch == EPOCH.load(Ordering::Relaxed) {
-                sink.live_locals = sink.live_locals.saturating_sub(1);
+                entry(&mut sink.hists, name).merge(&h);
             }
         }
     }
 
     thread_local! {
+        /// The session this thread records into, if any.
         static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
     }
 
-    /// Runs `f` on this thread's recorder state, (re)initializing it on
-    /// first use or after a [`reset`].
-    fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
-        LOCAL.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            let epoch = EPOCH.load(Ordering::Relaxed);
-            if slot.as_ref().is_some_and(|l| l.epoch != epoch) {
-                // Stale epoch: discard the old local (its Drop sees the
-                // mismatch and flushes nothing) and re-register below.
-                *slot = None;
-            }
-            let local = slot.get_or_insert_with(|| {
-                // Epoch is re-read under the sink lock (reset bumps it
-                // under the same lock), so the live_locals increment is
-                // always attributed to the epoch it was counted under.
-                let (tid, epoch) = {
-                    let mut sink = sink_lock();
-                    let epoch = EPOCH.load(Ordering::Relaxed);
-                    let tid = sink.next_tid;
-                    sink.next_tid += 1;
-                    sink.live_locals += 1;
-                    (tid, epoch)
-                };
-                Local {
-                    epoch,
-                    tid,
-                    depth: 0,
-                    seq: 0,
-                    spans: Vec::with_capacity(FLUSH_AT),
-                    counters: Vec::new(),
-                    hists: Vec::new(),
-                    walls: Vec::new(),
-                }
-            });
-            f(local)
-        })
+    /// Runs `f` on this thread's binding; `None` when it has none.
+    fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> Option<R> {
+        LOCAL.with(|cell| cell.borrow_mut().as_mut().map(f))
+    }
+
+    pub fn current() -> Option<SharedSink> {
+        with_local(|l| Arc::clone(&l.sink))
     }
 
     #[inline]
-    pub fn is_enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
+    pub fn is_recording() -> bool {
+        with_local(|_| ()).is_some()
     }
 
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
+    /// Rebinds this thread to `sink` (or to nothing) and returns the
+    /// binding it displaced, for [`unbind`] to put back.
+    pub fn bind(sink: Option<&SharedSink>) -> Option<Local> {
+        let local = sink.map(|s| Local::new(Arc::clone(s)));
+        LOCAL.with(|cell| cell.replace(local))
     }
 
-    pub fn span_enter() -> u64 {
-        with_local(|l| l.depth += 1);
-        now_ns()
+    /// Ends the current binding — flushing what it buffered into its own
+    /// session's sink — and restores `prev`.
+    pub fn unbind(prev: Option<Local>) {
+        if let Some(mut ended) = LOCAL.with(|cell| cell.replace(prev)) {
+            ended.flush();
+        }
+    }
+
+    pub fn span_enter() -> Option<u64> {
+        with_local(|l| {
+            // Each buffer is reserved on a thread's first event of its
+            // kind, not at binding: MSM workers (counters only) and the
+            // service's net threads (wall events only) never pay for a
+            // span buffer, nor prover threads for a wall-event one.
+            if l.spans.capacity() == 0 {
+                l.spans.reserve(FLUSH_AT);
+            }
+            l.depth += 1;
+        })
+        .map(|()| now_ns())
     }
 
     pub fn span_exit(name: &'static str, start_ns: u64) {
@@ -417,40 +398,20 @@ mod recorder {
     }
 
     pub fn counter_add(name: &'static str, delta: u64) {
-        with_local(|l| match l.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += delta,
-            None => l.counters.push((name, delta)),
-        });
+        with_local(|l| *entry(&mut l.counters, name) += delta);
     }
 
     pub fn hist_record(name: &'static str, value: u64) {
-        with_local(|l| match l.hists.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, h)) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                l.hists.push((name, h));
-            }
-        });
+        with_local(|l| entry(&mut l.hists, name).record(value));
     }
 
     pub fn hist_merge(name: &'static str, hist: &Histogram) {
-        with_local(|l| match l.hists.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, h)) => h.merge(hist),
-            None => {
-                let mut h = Histogram::default();
-                h.merge(hist);
-                l.hists.push((name, h));
-            }
-        });
+        with_local(|l| entry(&mut l.hists, name).merge(hist));
     }
 
     pub fn wall_event(kind: WallEventKind, id: u64, tenant: u64, arg: u64, a: f64, b: f64) {
         let t_ns = now_ns();
         with_local(|l| {
-            // The buffer is reserved on a thread's first wall event, not
-            // at registration: prover threads that only record spans
-            // never pay for it.
             if l.walls.capacity() == 0 {
                 l.walls.reserve(FLUSH_AT);
             }
@@ -473,51 +434,9 @@ mod recorder {
         });
     }
 
-    /// Discards everything recorded so far and starts a fresh epoch.
-    /// Must not be called while spans are open.
-    pub fn reset() {
-        let mut sink = sink_lock();
-        // Bumped under the sink lock so registration (which re-reads the
-        // epoch under the same lock) cannot count a live local against
-        // the wrong epoch.
-        EPOCH.fetch_add(1, Ordering::Relaxed);
-        sink.spans.clear();
-        sink.counters.clear();
-        sink.hists.clear();
-        sink.walls.clear();
-        sink.next_tid = 0;
-        sink.live_locals = 0;
-        drop(sink);
-        // Re-register this thread immediately so the calling thread
-        // (the one driving the run) deterministically gets tid 0.
-        with_local(|_| {});
-    }
-
-    /// Flushes the calling thread and collects the sink into a
-    /// [`Profile`].
-    ///
-    /// Worker threads flush from their TLS destructors, but
-    /// `std::thread::scope` unblocks as soon as a worker's closure
-    /// returns — the destructor may still be pending. So this waits
-    /// (bounded) for every registered local except the caller's own to
-    /// deregister before collecting. The wait is a no-op in the common
-    /// case and gives up after ~1 s so a long-lived registered thread
-    /// (a pool thread holding its buffer) degrades to a partial drain
-    /// rather than a deadlock.
-    pub fn drain() -> Profile {
-        with_local(Local::flush);
-        let deadline = Instant::now() + std::time::Duration::from_secs(1);
-        loop {
-            let outstanding = {
-                let sink = sink_lock();
-                sink.live_locals
-            };
-            if outstanding <= 1 || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let mut sink = sink_lock();
+    /// Collects everything flushed into `sink` so far into a [`Profile`].
+    pub fn collect(sink: &SharedSink) -> Profile {
+        let mut sink = lock(sink);
         let mut profile = Profile {
             spans: std::mem::take(&mut sink.spans),
             counters: sink.counters.drain(..).collect(),
@@ -538,49 +457,143 @@ mod recorder {
 }
 
 // ------------------------------------------------------------------------
-// Public facade: real in `record` builds, inlined no-ops otherwise.
+// Public facade: real in `record` builds, zero-sized types and inlined
+// no-ops otherwise.
 // ------------------------------------------------------------------------
+
+/// One recording: the handle that owns everything its threads record.
+///
+/// [`Session::start`] binds the calling thread; threads it (or code it
+/// calls) spawns join through [`current`] + [`SessionRef::enter`];
+/// [`Session::finish`] returns the [`Profile`]. A session dropped
+/// without `finish` unbinds its thread and discards the recording.
+/// Sessions on different threads are independent, so any number can be
+/// open in one process at once. Not `Send`: the handle must end on the
+/// thread it bound.
+#[must_use = "dropping a session discards its recording; call finish()"]
+pub struct Session {
+    #[cfg(feature = "record")]
+    sink: recorder::SharedSink,
+    bound: Entered,
+}
+
+impl Session {
+    /// Opens a session and binds the calling thread to it as tid 0,
+    /// until [`Session::finish`] (or drop) restores whatever the thread
+    /// was bound to before.
+    pub fn start() -> Session {
+        #[cfg(feature = "record")]
+        let sink = recorder::SharedSink::default();
+        let here = SessionRef {
+            #[cfg(feature = "record")]
+            sink: Some(sink.clone()),
+        };
+        Session {
+            bound: here.enter(),
+            #[cfg(feature = "record")]
+            sink,
+        }
+    }
+
+    /// Unbinds the calling thread and returns everything the session's
+    /// threads have flushed: their [`Entered`] guards must have dropped,
+    /// which a returned `thread::scope` or a joined `JoinHandle`
+    /// guarantees. Call with no span open on this thread. Returns an
+    /// empty profile without the `record` feature.
+    pub fn finish(self) -> Profile {
+        drop(self.bound);
+        #[cfg(feature = "record")]
+        {
+            recorder::collect(&self.sink)
+        }
+        #[cfg(not(feature = "record"))]
+        {
+            Profile::default()
+        }
+    }
+}
+
+/// A cheap, clonable reference to the session a thread was recording
+/// into when it called [`current`] — possibly none. Code about to spawn
+/// threads that call hooks takes one and has each thread
+/// [`enter`](SessionRef::enter) it.
+#[derive(Clone)]
+pub struct SessionRef {
+    #[cfg(feature = "record")]
+    sink: Option<recorder::SharedSink>,
+}
+
+impl SessionRef {
+    /// Binds the calling thread to the referenced session (to nothing,
+    /// if the reference is empty) for the guard's lifetime.
+    #[inline]
+    pub fn enter(&self) -> Entered {
+        Entered {
+            #[cfg(feature = "record")]
+            prev: recorder::bind(self.sink.as_ref()),
+            _not_send: std::marker::PhantomData,
+        }
+    }
+}
+
+/// The session the calling thread is bound to (an empty reference when
+/// it is bound to none, and always without the `record` feature).
+#[inline]
+pub fn current() -> SessionRef {
+    SessionRef {
+        #[cfg(feature = "record")]
+        sink: recorder::current(),
+    }
+}
+
+/// Binding guard from [`SessionRef::enter`]. Dropping it flushes what
+/// the thread buffered into *that* session's sink and restores the
+/// thread's previous binding, so a guard dropped inside a worker
+/// closure has flushed before `thread::scope` returns.
+#[must_use = "the thread is bound only while the guard lives"]
+pub struct Entered {
+    #[cfg(feature = "record")]
+    prev: Option<recorder::Local>,
+    /// Bindings are thread-local: the guard must drop where it was made.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for Entered {
+    #[inline]
+    fn drop(&mut self) {
+        #[cfg(feature = "record")]
+        recorder::unbind(self.prev.take());
+    }
+}
 
 /// RAII span guard: records a [`SpanRecord`] when dropped. Obtain via
 /// [`span`]; hold it for the duration of the phase it names.
 #[must_use = "a span records its duration when dropped"]
 pub struct Span {
+    /// Name and start; `None` when the thread was bound to no session.
     #[cfg(feature = "record")]
-    name: &'static str,
-    #[cfg(feature = "record")]
-    start_ns: u64,
-    #[cfg(feature = "record")]
-    armed: bool,
+    open: Option<(&'static str, u64)>,
 }
 
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
         #[cfg(feature = "record")]
-        if self.armed {
-            recorder::span_exit(self.name, self.start_ns);
+        if let Some((name, start_ns)) = self.open {
+            recorder::span_exit(name, start_ns);
         }
     }
 }
 
-/// Opens a named span on the current thread. When recording is off
-/// (feature or runtime), this is free and the guard does nothing.
+/// Opens a named span on the current thread. When it is bound to no
+/// session (or the feature is off), this is free and the guard does
+/// nothing.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     #[cfg(feature = "record")]
     {
-        let _ = name;
-        if recorder::is_enabled() {
-            return Span {
-                name,
-                start_ns: recorder::span_enter(),
-                armed: true,
-            };
-        }
         Span {
-            name,
-            start_ns: 0,
-            armed: false,
+            open: recorder::span_enter().map(|start_ns| (name, start_ns)),
         }
     }
     #[cfg(not(feature = "record"))]
@@ -590,26 +603,22 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// Adds `delta` to the named counter (no-op when recording is off).
+/// Adds `delta` to the named counter (no-op outside a session).
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
     #[cfg(feature = "record")]
-    if recorder::is_enabled() {
-        recorder::counter_add(name, delta);
-    }
+    recorder::counter_add(name, delta);
     #[cfg(not(feature = "record"))]
     {
         let _ = (name, delta);
     }
 }
 
-/// Records `value` into the named histogram (no-op when recording is off).
+/// Records `value` into the named histogram (no-op outside a session).
 #[inline]
 pub fn hist_record(name: &'static str, value: u64) {
     #[cfg(feature = "record")]
-    if recorder::is_enabled() {
-        recorder::hist_record(name, value);
-    }
+    recorder::hist_record(name, value);
     #[cfg(not(feature = "record"))]
     {
         let _ = (name, value);
@@ -617,15 +626,15 @@ pub fn hist_record(name: &'static str, value: u64) {
 }
 
 /// Merges a locally accumulated [`Histogram`] into the named histogram
-/// in one recorder access (no-op when recording is off, or when `hist`
-/// is empty). Hot loops with many samples per iteration should build a
+/// in one recorder access (no-op outside a session, or when `hist` is
+/// empty). Hot loops with many samples per iteration should build a
 /// stack-local `Histogram` and merge it once, instead of paying the
 /// thread-local lookup of [`hist_record`] per sample; merging is
-/// bucket-wise addition, so the drained result is identical.
+/// bucket-wise addition, so the finished result is identical.
 #[inline]
 pub fn hist_merge(name: &'static str, hist: &Histogram) {
     #[cfg(feature = "record")]
-    if recorder::is_enabled() && hist.count > 0 {
+    if hist.count > 0 {
         recorder::hist_merge(name, hist);
     }
     #[cfg(not(feature = "record"))]
@@ -634,65 +643,34 @@ pub fn hist_merge(name: &'static str, hist: &Histogram) {
     }
 }
 
-/// Records a wall-clock lifecycle event (no-op when recording is off).
-/// Stamped from the shared monotonic epoch on the calling thread's
-/// lock-free buffer; the drained [`Profile`] carries the events sorted
-/// by `(t_ns, tid, seq)` so a rebuilt
+/// Records a wall-clock lifecycle event (no-op outside a session).
+/// Stamped from the shared monotonic clock base into the calling
+/// thread's lock-free buffer; the finished [`Profile`] carries the
+/// events sorted by `(t_ns, tid, seq)` so a rebuilt
 /// [`WallTimeline`](crate::WallTimeline) is deterministic per run.
 #[inline]
 pub fn wall_event(kind: WallEventKind, id: u64, tenant: u64, arg: u64, a: f64, b: f64) {
     #[cfg(feature = "record")]
-    if recorder::is_enabled() {
-        recorder::wall_event(kind, id, tenant, arg, a, b);
-    }
+    recorder::wall_event(kind, id, tenant, arg, a, b);
     #[cfg(not(feature = "record"))]
     {
         let _ = (kind, id, tenant, arg, a, b);
     }
 }
 
-/// Turns runtime recording on or off. Without the `record` feature this
-/// does nothing and [`is_enabled`] stays `false`.
-pub fn set_enabled(on: bool) {
-    #[cfg(feature = "record")]
-    recorder::set_enabled(on);
-    #[cfg(not(feature = "record"))]
-    let _ = on;
-}
-
-/// Whether hooks currently record. Always `false` without the `record`
-/// feature — callers can hoist loops behind this check and have the
-/// whole block vanish in disabled builds.
+/// Whether hooks on the calling thread record, i.e. whether it is bound
+/// to a session. Always `false` without the `record` feature — callers
+/// can hoist loops behind this check and have the whole block vanish in
+/// disabled builds.
 #[inline]
-pub fn is_enabled() -> bool {
+pub fn is_recording() -> bool {
     #[cfg(feature = "record")]
     {
-        recorder::is_enabled()
+        recorder::is_recording()
     }
     #[cfg(not(feature = "record"))]
     {
         false
-    }
-}
-
-/// Discards all recorded data and starts a fresh session. The calling
-/// thread is re-registered first, so it deterministically records as
-/// tid 0. Must not be called while spans are open.
-pub fn reset() {
-    #[cfg(feature = "record")]
-    recorder::reset();
-}
-
-/// Collects everything recorded since the last [`reset`] into a
-/// [`Profile`]. Returns an empty profile without the `record` feature.
-pub fn drain() -> Profile {
-    #[cfg(feature = "record")]
-    {
-        recorder::drain()
-    }
-    #[cfg(not(feature = "record"))]
-    {
-        Profile::default()
     }
 }
 
@@ -726,34 +704,27 @@ mod tests {
     #[cfg(not(feature = "record"))]
     #[test]
     fn disabled_build_records_nothing() {
-        set_enabled(true);
-        assert!(!is_enabled(), "record feature off ⇒ never enabled");
+        assert_eq!(std::mem::size_of::<Session>(), 0);
+        assert_eq!(std::mem::size_of::<SessionRef>(), 0);
+        assert_eq!(std::mem::size_of::<Entered>(), 0);
+        let session = Session::start();
+        assert!(!is_recording(), "record feature off ⇒ never recording");
         let _s = span("noop");
         counter_add("noop", 1);
         hist_record("noop", 1);
         wall_event(WallEventKind::Admitted, 0, 0, 0, 0.0, 0.0);
         drop(_s);
-        let p = drain();
+        let p = session.finish();
         assert!(p.spans.is_empty());
         assert!(p.counters.is_empty());
         assert!(p.hists.is_empty());
         assert!(p.wall_events.is_empty());
     }
 
-    /// The recorder is process-global and the harness runs tests on
-    /// several threads; sessions must not interleave.
-    #[cfg(feature = "record")]
-    fn session_guard() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[cfg(feature = "record")]
     #[test]
     fn spans_nest_and_drain() {
-        let _guard = session_guard();
-        reset();
-        set_enabled(true);
+        let session = Session::start();
         {
             let _outer = span("outer");
             {
@@ -766,8 +737,7 @@ mod tests {
             counter_add("c", 3);
             hist_record("h", 7);
         }
-        set_enabled(false);
-        let p = drain();
+        let p = session.finish();
         assert_eq!(p.span_count("outer"), 1);
         assert_eq!(p.span_count("inner"), 2);
         assert_eq!(p.counter("c"), 5);
@@ -787,20 +757,19 @@ mod tests {
     #[cfg(feature = "record")]
     #[test]
     fn worker_threads_flush_on_exit() {
-        let _guard = session_guard();
-        reset();
-        set_enabled(true);
+        let session = Session::start();
+        let here = current();
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
+                    let _rec = here.enter();
                     let _s = span("worker");
                     counter_add("work", 1);
                     hist_record("vals", 16);
                 });
             }
         });
-        set_enabled(false);
-        let p = drain();
+        let p = session.finish();
         assert_eq!(p.span_count("worker"), 3);
         assert_eq!(p.counter("work"), 3);
         assert_eq!(p.hists["vals"].count, 3);
@@ -810,20 +779,20 @@ mod tests {
     #[cfg(feature = "record")]
     #[test]
     fn wall_events_drain_sorted_and_keep_per_thread_order() {
-        let _guard = session_guard();
-        reset();
-        set_enabled(true);
+        let session = Session::start();
+        let here = current();
         std::thread::scope(|scope| {
             for t in 0..3u64 {
+                let here = &here;
                 scope.spawn(move || {
+                    let _rec = here.enter();
                     for i in 0..5u64 {
                         wall_event(WallEventKind::Dispatched, t * 10 + i, t, 0, 0.0, 0.0);
                     }
                 });
             }
         });
-        set_enabled(false);
-        let p = drain();
+        let p = session.finish();
         assert_eq!(p.wall_events.len(), 15);
         assert!(p
             .wall_events
@@ -846,18 +815,40 @@ mod tests {
         }
     }
 
+    /// A thread bound to no session records nothing, so a session it
+    /// opens afterwards starts empty.
     #[cfg(feature = "record")]
     #[test]
     fn disabled_runtime_records_nothing() {
-        let _guard = session_guard();
-        reset();
-        set_enabled(false);
+        assert!(!is_recording());
         let _s = span("ghost");
         counter_add("ghost", 1);
         drop(_s);
-        let p = drain();
+        let session = Session::start();
+        assert!(is_recording());
+        let p = session.finish();
+        assert!(!is_recording());
         assert_eq!(p.span_count("ghost"), 0);
         assert_eq!(p.counter("ghost"), 0);
+    }
+
+    /// Guards nest: an inner binding records into its own session and
+    /// dropping it restores the outer one, depth included.
+    #[cfg(feature = "record")]
+    #[test]
+    fn nested_bindings_restore_the_outer_session() {
+        let outer = Session::start();
+        let outer_span = span("outer");
+        let inner = Session::start();
+        counter_add("inner", 1);
+        let inner = inner.finish();
+        counter_add("outer", 1);
+        drop(outer_span);
+        let outer = outer.finish();
+        assert_eq!((inner.counter("inner"), inner.counter("outer")), (1, 0));
+        assert_eq!((outer.counter("inner"), outer.counter("outer")), (0, 1));
+        assert_eq!(outer.span_count("outer"), 1);
+        outer.check_well_formed().expect("well-formed");
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!
 //! Recording rides the profiler's thread-local machinery: the service
 //! calls [`crate::profile::wall_event`] (an inlined no-op without the
-//! `record` feature), events land in the same per-thread buffers as
-//! spans, and [`crate::profile::drain`] returns them on the
-//! [`crate::Profile`] sorted by `(t_ns, tid, seq)` — so rebuilding the
-//! timeline from a drained profile is deterministic for a given run.
+//! `record` feature, and on a thread bound to no session), events land
+//! in the same per-thread buffers as spans, and
+//! [`crate::Session::finish`] returns them on the [`crate::Profile`]
+//! sorted by `(t_ns, tid, seq)` — so rebuilding the timeline from a
+//! finished session's profile is deterministic for a given run.
 //!
 //! # Reconciliation by construction
 //!

@@ -9,11 +9,14 @@
 //! 2. The prover's wall-clock span forest is well-formed: every span
 //!    nests inside its parent, `prove` is the single root, and the
 //!    depth-1 phases partition it.
-//! 3. With recording compiled in but switched off at runtime, the
-//!    hooks observe nothing — a drained profile is empty. (The
-//!    compile-out guarantee — lib builds without the `record` feature
-//!    carry zero telemetry symbols — is checked by the CI build-matrix
-//!    step, not a runtime test.)
+//! 3. A recording is scoped to its session: hooks on a thread bound to
+//!    no session observe nothing, sessions open at once on different
+//!    threads each finish with exactly their own work, a service's
+//!    threads record into the session it was started in, and `repro
+//!    obs` prints the same bytes whatever else the process is proving.
+//!    (The compile-out guarantee — lib builds without the `record`
+//!    feature carry zero telemetry symbols — is checked by the CI
+//!    build-matrix step, not a runtime test.)
 //! 4. Trace exports degrade gracefully at the edges: empty profiles
 //!    and timelines export valid (if boring) documents, lifecycle
 //!    phases still open at export are drawn to the horizon and flagged
@@ -22,7 +25,8 @@
 //!    wall timeline reconciling exactly with the service's own
 //!    summary.
 
-use std::sync::MutexGuard;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Barrier};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,16 +36,12 @@ use zkphire_fleet::{
     simulate, BrownOutConfig, ChipOutage, FaultConfig, FleetConfig, PoissonSource, RequestClass,
     RetryPolicy, WorkloadMix,
 };
-use zkphire_hyperplonk::{prove_with_config, setup, Circuit, GateSystem, ProverConfig};
+use zkphire_hyperplonk::{
+    prove_with_config, setup, Circuit, GateSystem, ProverConfig, ProvingKey, Witness,
+};
+use zkphire_serve::{reconcile_wall, ProvingService, ServeConfig, ServeOpts, ServeReport};
 use zkphire_telemetry as tele;
 use zkphire_transcript::Transcript;
-
-/// The wall-clock profiler is process-global; tests in this binary run
-/// on multiple threads, so profiler sessions are serialized.
-fn tele_guard() -> MutexGuard<'static, ()> {
-    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A small telemetered fault scenario: 3 chips, one outage, 2 s
 /// horizon. Deliberately smaller than `repro obs` — this test runs the
@@ -101,18 +101,14 @@ fn prover_span_forest_is_well_formed() {
     let (circuit, witness) = Circuit::random(GateSystem::Jellyfish, 8, 0.5, &mut rng);
     let (pk, _vk) = setup(circuit, &mut rng);
 
-    let guard = tele_guard();
-    tele::reset();
-    tele::set_enabled(true);
+    let session = tele::Session::start();
     let _proof = prove_with_config(
         &pk,
         &witness,
         &mut Transcript::new(b"tests/telemetry"),
         ProverConfig { threads: 1 },
     );
-    tele::set_enabled(false);
-    let profile = tele::drain();
-    drop(guard);
+    let profile = session.finish();
 
     profile
         .check_well_formed()
@@ -133,21 +129,17 @@ fn prover_span_forest_is_well_formed() {
     );
 }
 
-/// Runtime kill switch: hooks compiled in, recording off => a drained
-/// profile is empty, and the hooks cost no bookkeeping.
+/// Hooks compiled in, no session bound => they cost no bookkeeping, and
+/// a session opened afterwards finishes empty.
 #[test]
 fn runtime_disabled_records_nothing() {
-    let guard = tele_guard();
-    tele::reset();
-    tele::set_enabled(false);
     {
         let _outer = tele::span("dead/outer");
         let _inner = tele::span("dead/inner");
         tele::counter_add("dead/counter", 41);
         tele::hist_record("dead/hist", 7);
     }
-    let profile = tele::drain();
-    drop(guard);
+    let profile = tele::Session::start().finish();
 
     assert!(profile.spans.is_empty(), "disabled spans must not record");
     assert_eq!(profile.counter("dead/counter"), 0);
@@ -164,10 +156,7 @@ fn runtime_disabled_records_nothing() {
 /// well-formed JSONL instead of panicking or emitting fragments.
 #[test]
 fn empty_exports_are_valid_documents() {
-    let guard = tele_guard();
-    tele::reset();
-    let profile = tele::drain();
-    drop(guard);
+    let profile = tele::Session::start().finish();
     let chrome = tele::profile_to_chrome(&profile);
     assert!(chrome.starts_with("{\"traceEvents\":["));
     assert!(chrome.trim_end().ends_with('}'), "complete JSON doc");
@@ -233,20 +222,10 @@ fn open_lifecycle_phases_survive_export() {
     );
 }
 
-/// The full cross-thread round trip on a real worker pool: a live
-/// proving service (dispatcher thread + 2 workers + this thread) runs
-/// a few requests with recording on. The drained profile's span forest
-/// must be well-formed across all those threads, and the wall timeline
-/// rebuilt from its events must reconcile *exactly* with the
-/// `ServeReport` the service computed independently.
-#[test]
-fn cross_thread_span_forest_and_wall_reconcile() {
-    use zkphire_serve::{reconcile_wall, ProvingService, ServeConfig, ServeOpts};
-
+/// One whole service lifecycle on the calling thread: a 2-worker pool
+/// over the smallest Vanilla class, `n` submissions, clean drain.
+fn serve_run(n: usize) -> ServeReport {
     let class = RequestClass::new(Gate::Vanilla, 4);
-    let guard = tele_guard();
-    tele::reset();
-    tele::set_enabled(true);
     let cfg = ServeConfig::new(vec![class]).with_opts(
         ServeOpts::default()
             .with_workers(2)
@@ -254,13 +233,23 @@ fn cross_thread_span_forest_and_wall_reconcile() {
             .with_max_batch(2),
     );
     let service = ProvingService::start(cfg).expect("startup");
-    for _ in 0..6 {
+    for _ in 0..n {
         service.submit(class, 0).expect("admitted");
     }
-    let report = service.shutdown().expect("clean drain");
-    tele::set_enabled(false);
-    let profile = tele::drain();
-    drop(guard);
+    service.shutdown().expect("clean drain")
+}
+
+/// The full cross-thread round trip on a real worker pool: a live
+/// proving service (dispatcher thread + 2 workers + this thread) runs
+/// a few requests inside a session. The finished profile's span forest
+/// must be well-formed across all those threads, and the wall timeline
+/// rebuilt from its events must reconcile *exactly* with the
+/// `ServeReport` the service computed independently.
+#[test]
+fn cross_thread_span_forest_and_wall_reconcile() {
+    let session = tele::Session::start();
+    let report = serve_run(6);
+    let profile = session.finish();
 
     assert_eq!(report.summary.completed, 6);
     profile
@@ -281,4 +270,152 @@ fn cross_thread_span_forest_and_wall_reconcile() {
     assert!(chrome.contains("\"ph\":\"b\"") && chrome.contains("\"ph\":\"e\""));
     assert!(chrome.contains("\"worker busy\"") || chrome.contains("worker"));
     assert!(tele::profile_to_chrome(&profile).starts_with("{\"traceEvents\":["));
+}
+
+/// A Vanilla circuit at 2^10 rows: the smallest whose commit and open
+/// MSMs fan out over worker threads at `threads: 2`.
+fn msm_worker_sized_keys() -> (ProvingKey, Witness) {
+    let mut rng = StdRng::seed_from_u64(0x51b1);
+    let (circuit, witness) = Circuit::random(GateSystem::Vanilla, 10, 0.5, &mut rng);
+    let (pk, _vk) = setup(circuit, &mut rng);
+    (pk, witness)
+}
+
+fn prove_with_msm_workers(pk: &ProvingKey, witness: &Witness) {
+    std::hint::black_box(prove_with_config(
+        pk,
+        witness,
+        &mut Transcript::new(b"tests/telemetry"),
+        ProverConfig { threads: 2 },
+    ));
+}
+
+/// Host independence of `repro obs`: its golden-pinned stdout is the
+/// same bytes whether or not a sibling thread spends the whole run
+/// proving with MSM workers — threads that exit, again and again, while
+/// the experiment's sessions are open. The sibling signals once it is
+/// in its prove loop and stays there until told to stop.
+#[test]
+fn obs_output_is_identical_beside_a_proving_sibling() {
+    let obs = || zkphire_bench::experiments::run("obs").expect("registered experiment");
+    let quiet = obs();
+
+    let stop = AtomicBool::new(false);
+    let (looping_tx, looping_rx) = mpsc::channel();
+    let loaded = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (pk, witness) = msm_worker_sized_keys();
+            looping_tx.send(()).expect("test thread is waiting");
+            while !stop.load(Ordering::SeqCst) {
+                prove_with_msm_workers(&pk, &witness);
+            }
+        });
+        looping_rx.recv().expect("sibling reached its prove loop");
+        let loaded = obs();
+        stop.store(true, Ordering::SeqCst);
+        loaded
+    });
+    assert_eq!(quiet, loaded, "a sibling prove leaked into `repro obs`");
+}
+
+/// Two sessions open at once on two threads, each proving with MSM
+/// workers: each finishes with exactly what a solo session records —
+/// one `prove` root, the same counters and histograms, and only its own
+/// wall event. The barriers keep both sessions open across both proves.
+#[test]
+fn concurrent_sessions_each_finish_with_their_own_work() {
+    let (pk, witness) = msm_worker_sized_keys();
+    let record = |id: u64, both_open: Option<&Barrier>| {
+        let session = tele::Session::start();
+        if let Some(barrier) = both_open {
+            barrier.wait();
+        }
+        prove_with_msm_workers(&pk, &witness);
+        tele::wall_event(tele::WallEventKind::Admitted, id, 0, 0, 0.0, 0.0);
+        if let Some(barrier) = both_open {
+            barrier.wait();
+        }
+        session.finish()
+    };
+    let solo = record(0, None);
+    assert!(solo.counter("msm/calls") > 0, "the prove runs MSMs");
+
+    let both_open = &Barrier::new(2);
+    let profiles: Vec<tele::Profile> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..=2)
+            .map(|id| scope.spawn(move || record(id, Some(both_open))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("session thread must not panic"))
+            .collect()
+    });
+    for (id, profile) in (1u64..).zip(&profiles) {
+        profile.check_well_formed().expect("well-formed");
+        assert_eq!(profile.span_count("prove"), 1, "session {id}: one root");
+        assert_eq!(profile.spans.len(), solo.spans.len(), "session {id}");
+        assert_eq!(profile.counters, solo.counters, "session {id}");
+        assert_eq!(profile.hists, solo.hists, "session {id}");
+        let ids: Vec<u64> = profile.wall_events.iter().map(|e| e.id).collect();
+        assert_eq!(ids, [id], "session {id}: only its own wall event");
+    }
+}
+
+/// A service's threads record into the session `start` was called in:
+/// one started on an unbound sibling thread — and living its whole life
+/// while this thread's session is open — contributes nothing to it,
+/// while the one started here reconciles bitwise, exactly as in
+/// `cross_thread_span_forest_and_wall_reconcile`.
+#[test]
+fn service_records_only_into_the_session_it_started_in() {
+    let session = tele::Session::start();
+    let report = std::thread::scope(|scope| {
+        let outside = scope.spawn(|| serve_run(4));
+        let report = serve_run(6);
+        let outside = outside.join().expect("outside service must not panic");
+        assert_eq!(outside.summary.completed, 4);
+        report
+    });
+    let profile = session.finish();
+
+    assert_eq!(report.summary.completed, 6);
+    profile
+        .check_well_formed()
+        .expect("cross-thread span forest well-formed");
+    assert_eq!(
+        profile.span_count("prove"),
+        2 + 6,
+        "two calibration proves and six requests — none of the sibling's"
+    );
+    let wall = tele::WallTimeline::from_events(&profile.wall_events);
+    assert_eq!(wall.outcome_count(tele::Outcome::Completed), 6);
+    reconcile_wall(&wall, &report.summary).expect("timeline and summary describe the same run");
+}
+
+/// Hooks on a thread bound to no session record nothing, even while a
+/// session is open elsewhere in the process and the thread exits inside
+/// it; nor does entering the empty reference such a thread sees.
+#[test]
+fn unbound_thread_hooks_record_nothing() {
+    let session = tele::Session::start();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            assert!(!tele::is_recording(), "a new thread starts unbound");
+            let fire = || {
+                let _span = tele::span("ghost/span");
+                tele::counter_add("ghost/counter", 1);
+                tele::hist_record("ghost/hist", 1);
+                tele::wall_event(tele::WallEventKind::Admitted, 9, 0, 0, 0.0, 0.0);
+            };
+            fire();
+            let _nothing = tele::current().enter();
+            assert!(!tele::is_recording());
+            fire();
+        });
+    });
+    let profile = session.finish();
+    assert!(profile.spans.is_empty());
+    assert!(profile.counters.is_empty());
+    assert!(profile.hists.is_empty());
+    assert!(profile.wall_events.is_empty());
 }
