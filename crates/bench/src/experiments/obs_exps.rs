@@ -242,11 +242,12 @@ fn prover_section(out: &mut String, with_overhead: bool) -> (String, String) {
 }
 
 /// One deterministic 2^12-point MSM, recorded in its own profiler
-/// session. The prove above commits 2^10-point columns, which take the
-/// batched-affine path too (it starts at 2^8 points) but with 64-bucket
-/// windows and sparse witness columns; this dense probe adds the
-/// 256-bucket occupancy shape and its batch-inverse pass count to the
-/// golden output.
+/// session. The prove above runs the same kernel on 2^10-point columns
+/// (64-bucket windows, sparse witness columns) and on an opening's
+/// quotients down to one point; this dense probe adds the 256-bucket
+/// occupancy shape and its pass count — one window per counting sort at
+/// this size, so one shared inversion per pair-reduction pass per window,
+/// bucket-reduction steps not counted — to the golden output.
 fn msm_probe(out: &mut String) {
     let n = 1usize << 12;
     let g = G1Affine::generator();

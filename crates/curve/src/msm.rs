@@ -3,26 +3,37 @@
 //! MSM is the dominant kernel of HyperPlonk's polynomial commitments
 //! (paper §II-B): `S = Σ k_i · P_i`.
 //!
-//! * [`msm`] / [`msm_with_ops`] — the production path: **signed-digit**
-//!   windows (digits in `[-2^(c-1), 2^(c-1)]`, halving the bucket count
-//!   versus unsigned windows because `-P` is a free y-negation) with
-//!   **batched-affine** bucket accumulation — a window's points are
-//!   counting-sorted by bucket, then every bucket is collapsed by a
-//!   pair-reduction tree of affine additions, in place, with all the
-//!   inversions of a pass amortized through one
-//!   [`zkphire_field::batch_inverse_with_scratch`] call. This is the
-//!   same constant-factor structure SZKP and cuZK exploit and the shape
-//!   the paper's streamed MSM unit pipelines. It runs from 2^4 buckets
-//!   per window up, i.e. for every `n ≥ 2^8` — all the commit and
-//!   opening MSMs of a 2^10-row prove but the last few quotients; the
-//!   handful of buckets of a smaller MSM accumulate in projective
-//!   coordinates (`BATCHED_AFFINE_MIN_BUCKETS` carries the measurement).
+//! [`msm`] / [`msm_with_ops`] run one kernel at every size: **signed-digit**
+//! windows (digits in `[-2^(c-1), 2^(c-1)]`, halving the bucket count
+//! versus unsigned windows because `-P` is a free y-negation) whose
+//! buckets are accumulated *and* reduced in **affine** coordinates, every
+//! inversion shared through [`zkphire_field::batch_inverse_with_scratch`].
+//! A worker takes its windows in groups:
+//!
+//! * **accumulation** — a few windows at a time (as many as keep the
+//!   sorted copy within [`SORT_POINTS`]) are counting-sorted by
+//!   (window, bucket), then every bucket is collapsed by a pair-reduction
+//!   tree of affine additions, in place, one inversion per pass for all
+//!   the buckets of all those windows;
+//! * **reduction** — the running sums `Σ j·B_j` of all the group's windows
+//!   advance in lock-step, one inversion per bucket index for at most two
+//!   additions per window (a window no digit landed in — most of a
+//!   small-scalar column's — sits out);
+//! * **aggregation** — the affine window sums enter the Horner chain by
+//!   mixed additions.
+//!
+//! This is the constant-factor structure SZKP and cuZK exploit and the
+//! shape the paper's streamed MSM unit pipelines: one PADD datapath kept
+//! busy across windows. Memory sets the group sizes, not arithmetic — the
+//! proving service's heap peak sits inside its 2^5-point MSMs
+//! (`docs/PERF.md`, "PR 19").
 //!
 //! It reports the operation counts the hardware model consumes. Zero
 //! scalars are skipped, which is exactly how the accelerator's *sparse
 //! MSMs* over ~90%-sparse witness MLEs gain their advantage (§IV-B1,
-//! §IV-B3). Per-window work is deterministic, so [`MsmOps`] counts are
-//! bit-identical regardless of the worker-thread count.
+//! §IV-B3). A bucket's pair order is its input order whatever the
+//! grouping, so the result and [`MsmOps`] are bit-identical regardless
+//! of the worker-thread count.
 
 use crate::g1::{G1Affine, G1Projective};
 use zkphire_field::{batch_inverse_with_scratch, Fq, Fr};
@@ -31,9 +42,11 @@ use zkphire_telemetry as tele;
 /// Operation counts for one MSM, used to validate the hardware MSM model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MsmOps {
-    /// Point additions performed during bucket accumulation.
+    /// Point additions performed during bucket accumulation (pair
+    /// additions: a bucket's first point is free).
     pub bucket_adds: u64,
-    /// Point additions performed during bucket reduction.
+    /// Point additions of the running-sum bucket reduction, nominal:
+    /// two per bucket per window, identity operands included.
     pub reduction_adds: u64,
     /// Point doublings performed during window aggregation.
     pub doublings: u64,
@@ -65,6 +78,16 @@ pub fn optimal_window_bits(n: usize) -> u32 {
 
 /// Scalar width budget for window decomposition (`Fr` is 255 bits).
 const SCALAR_BITS: u32 = 255;
+
+/// Most windows whose running sums advance in lock-step: a reduction
+/// step shares one inversion (≈ 55 `Fq` multiplications) among two
+/// additions per window, so forty windows bring it under one
+/// multiplication per addition.
+const GROUP_WINDOWS: usize = 40;
+
+/// Most digits counting-sorted at a time — one window when `n` is larger.
+/// The sorted copy is the kernel's largest buffer (104 B per point).
+const SORT_POINTS: usize = 256;
 
 /// Computes `Σ scalars[i] * points[i]` with signed-digit Pippenger,
 /// parallelized across windows.
@@ -110,77 +133,69 @@ pub fn msm_with_ops_threads(
     tele::counter_add("msm/windows", num_windows as u64);
 
     // Signed digits for every scalar, recoded once and shared by all
-    // windows (scalar-major layout: digit of window `w` for scalar `i`
-    // lives at `i * num_windows + w`).
-    let mut digits = vec![0i32; points.len() * num_windows];
+    // windows (window-major layout, so a sort reads one contiguous run
+    // per window: digit of window `w` for scalar `i` lives at
+    // `w * n + i`).
+    let n = points.len();
+    let mut digits = vec![0i32; n * num_windows];
+    let mut recoded = vec![0i32; num_windows];
     let mut skipped_zeros = 0u64;
     for (i, s) in scalars.iter().enumerate() {
         if s.is_zero() {
             skipped_zeros += 1;
             continue; // digits stay 0: the windows skip this point entirely
         }
-        let limbs = s.to_canonical_limbs();
-        recode_signed(
-            &limbs,
-            window_bits,
-            &mut digits[i * num_windows..(i + 1) * num_windows],
-        );
+        recode_signed(&s.to_canonical_limbs(), window_bits, &mut recoded);
+        // A strided write each: a small scalar's high windows stay untouched.
+        for (w, &digit) in recoded.iter().enumerate().filter(|(_, &d)| d != 0) {
+            digits[w * n + i] = digit;
+        }
     }
 
-    // Each window is independent; workers take windows round-robin and
-    // reuse one pre-sized scheduler arena across all of their windows.
-    // Small problems run sequentially — thread spawns cost more than the
-    // bucket work below ~2^10 points.
-    let workers = if points.len() < (1 << 10) {
+    // Windows are independent: worker `t` takes windows `t, t + workers,
+    // …` and returns their sums in affine form. Small problems run
+    // sequentially — thread spawns cost more than the bucket work below
+    // ~2^10 points.
+    let workers = if n < (1 << 10) {
         1
     } else {
         threads.clamp(1, num_windows)
     };
-    let window_results: Vec<(G1Projective, MsmOps)> = if workers <= 1 {
-        let mut arena = BucketArena::new(window_bits, points.len());
-        (0..num_windows)
-            .map(|w| window_sum_signed(points, &digits, num_windows, w, &mut arena))
-            .collect()
+    let run = |first: usize| WindowWorker::new(points, &digits, window_bits, first, workers).run();
+    let per_worker: Vec<(Vec<G1Affine>, u64)> = if workers == 1 {
+        vec![run(0)]
     } else {
-        let mut results = vec![(G1Projective::identity(), MsmOps::default()); num_windows];
         let session = tele::current();
         std::thread::scope(|scope| {
-            // Hand each worker a disjoint strided set of result slots.
-            let mut slots: Vec<Vec<(usize, &mut (G1Projective, MsmOps))>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (w, slot) in results.iter_mut().enumerate() {
-                slots[w % workers].push((w, slot));
-            }
-            for worker_slots in slots {
-                let (digits, session) = (&digits, &session);
-                scope.spawn(move || {
-                    let _recording = session.enter();
-                    let mut arena = BucketArena::new(window_bits, points.len());
-                    for (w, slot) in worker_slots {
-                        *slot = window_sum_signed(points, digits, num_windows, w, &mut arena);
-                    }
-                });
-            }
-        });
-        results
+            let handles: Vec<_> = (0..workers)
+                .map(|first| {
+                    let (run, session) = (&run, &session);
+                    scope.spawn(move || {
+                        let _recording = session.enter();
+                        run(first)
+                    })
+                })
+                .collect();
+            let joined = handles.into_iter().map(|h| h.join());
+            joined.map(|r| r.expect("MSM worker panicked")).collect()
+        })
     };
 
     // Aggregate windows from most significant down.
-    let mut ops = MsmOps {
+    let ops = MsmOps {
+        bucket_adds: per_worker.iter().map(|(_, pair_adds)| pair_adds).sum(),
+        reduction_adds: num_windows as u64 * (2 << (window_bits - 1)),
+        doublings: (num_windows as u64 - 1) * u64::from(window_bits),
         skipped_zeros,
-        ..MsmOps::default()
     };
     let mut acc = G1Projective::identity();
-    for (i, (w_sum, w_ops)) in window_results.iter().enumerate().rev() {
-        if i != num_windows - 1 {
+    for w in (0..num_windows).rev() {
+        if w != num_windows - 1 {
             for _ in 0..window_bits {
                 acc = acc.double();
             }
-            ops.doublings += u64::from(window_bits);
         }
-        ops.bucket_adds += w_ops.bucket_adds;
-        ops.reduction_adds += w_ops.reduction_adds;
-        acc += *w_sum;
+        acc = acc.add_mixed(&per_worker[w % workers].0[w / workers]);
     }
     (acc, ops)
 }
@@ -209,258 +224,296 @@ fn recode_signed(limbs: &[u64; 4], window_bits: u32, out: &mut [i32]) {
     debug_assert_eq!(carry, 0, "top window must absorb the final carry");
 }
 
-/// Smallest bucket count per window at which buckets accumulate by
-/// batched-affine pair-reduction (2^4 buckets ⇒ n ≥ 2^8 under
-/// [`optimal_window_bits`]); narrower windows accumulate in projective
-/// coordinates — still signed digits, half the buckets.
-///
-/// An affine add whose inversion is amortized costs ≈ 5M+1S against the
-/// mixed add's 7M+4S, and a pass pays one `Fq::inverse` (≈ 55 `Fq` muls
-/// since the binary-GCD inversion), so a pass breaks even at about a
-/// dozen pairs. Measured single-thread, whole MSM, batched vs projective
-/// (2-vCPU host, rustc 1.95; table in `docs/PERF.md`, "Bucket-path
-/// crossover"): dense scalars 2^8 7.4 vs 10.3 ms, 2^9 11.7 vs 17.2,
-/// 2^11 33.9 vs 52.6; ~32 %-dense witness columns 2^8 3.6 vs 4.1 ms.
-/// The 8-bucket windows below (2^5 ≤ n < 2^8) are reduction-bound and
-/// split: batched wins dense at 2^6–2^7 but loses sparse, and at n = 2^5
-/// — the service's mu = 5 proofs — loses both (dense 2.2 vs 2.05 ms,
-/// sparse 1.03 vs 0.86 ms). So they stay projective.
-const BATCHED_AFFINE_MIN_BUCKETS: usize = 1 << 4;
-
-/// Reusable per-worker buffers for one window's bucket accumulation —
-/// allocated once per worker and recycled across windows instead of
-/// reallocating `vec![...; bucket_count]` per window.
-struct BucketArena {
-    /// Whether this arena runs the batched-affine scheme (wide windows)
-    /// or plain projective accumulation (narrow windows).
-    batched: bool,
-    /// Projective buckets for the non-batched scheme.
-    proj_buckets: Vec<G1Projective>,
-    /// Bucket-major (counting-sorted) window points; each bucket owns the
-    /// segment `starts[b] .. starts[b] + lens[b]`, compacted in place as
-    /// the pair-reduction tree collapses it.
+/// One worker's share of an MSM — windows `first, first + stride, …`,
+/// its *slots* `0, 1, …` — and the buffers it recycles across them,
+/// allocated once per call.
+struct WindowWorker<'a> {
+    points: &'a [G1Affine],
+    /// Window-major signed digits, one per point per window.
+    digits: &'a [i32],
+    first: usize,
+    stride: usize,
+    slots: usize,
+    /// Buckets per window.
+    bucket_count: usize,
+    /// Windows reduced in lock-step (the last group may be shorter).
+    group_len: usize,
+    /// Windows counting-sorted together (≤ `group_len`).
+    sort_len: usize,
+    /// Bucket-major (counting-sorted) points of the windows being
+    /// accumulated; bucket `k` owns the segment `starts[k] .. starts[k] +
+    /// lens[k]`, compacted in place as the pair-reduction tree collapses it.
     sorted: Vec<G1Affine>,
-    /// Per-bucket segment starts (`bucket_count + 1` entries).
+    /// Per-bucket segment starts (`sort_len * bucket_count + 1` entries).
     starts: Vec<u32>,
     /// Per-bucket live point count within its segment.
     lens: Vec<u32>,
     /// Buckets still holding ≥ 2 points (current / next pass).
     active: Vec<u32>,
     next_active: Vec<u32>,
-    /// Slope denominators of this pass's pairs, bucket-major
-    /// (batch-inverted in place).
+    /// Slope denominators of one pass or reduction step, in the order the
+    /// additions are applied (batch-inverted in place).
     denoms: Vec<Fq>,
     /// Prefix-product scratch for the batch inversion.
     inv_scratch: Vec<Fq>,
+    /// The group's windows that hold any point at all — a small-scalar
+    /// column leaves most windows empty, and they skip the reduction —
+    /// with their collapsed buckets, window-major (the identity marks an
+    /// empty bucket), and their running sums.
+    live: Vec<u32>,
+    buckets: Vec<G1Affine>,
+    running: Vec<G1Affine>,
+    /// Pair additions and shared inversions spent collapsing buckets.
+    pair_adds: u64,
+    inverse_passes: u64,
 }
 
-impl BucketArena {
-    fn new(window_bits: u32, n_hint: usize) -> Self {
+impl<'a> WindowWorker<'a> {
+    fn new(
+        points: &'a [G1Affine],
+        digits: &'a [i32],
+        window_bits: u32,
+        first: usize,
+        stride: usize,
+    ) -> Self {
+        let n = points.len();
+        let num_windows = digits.len() / n;
         let bucket_count = 1usize << (window_bits - 1);
-        let batched = bucket_count >= BATCHED_AFFINE_MIN_BUCKETS;
-        // Each scheme sizes only its own buffers, up front: a window has
-        // at most `n_hint` points, hence `n_hint / 2` pairs in a pass.
-        let sized = |len: usize| if batched { len } else { 0 };
+        // Equal groups, so no straggler pays a group's inversions alone.
+        let slots = (num_windows - first).div_ceil(stride);
+        let group_len = slots.div_ceil(slots.div_ceil(GROUP_WINDOWS));
+        let sort_len = (SORT_POINTS / n).clamp(1, group_len);
+        // A sort holds at most `sort_len * n` points, hence half as many
+        // pairs in a pass; a reduction step adds twice per window.
+        let max_pairs = (sort_len * n / 2).max(2 * group_len);
         Self {
-            batched,
-            proj_buckets: vec![G1Projective::identity(); if batched { 0 } else { bucket_count }],
-            sorted: Vec::with_capacity(sized(n_hint)),
-            starts: vec![0; sized(bucket_count + 1)],
-            lens: vec![0; sized(bucket_count)],
-            active: Vec::with_capacity(sized(bucket_count)),
-            next_active: Vec::with_capacity(sized(bucket_count)),
-            denoms: Vec::with_capacity(sized(n_hint / 2)),
-            inv_scratch: Vec::with_capacity(sized(n_hint / 2)),
+            points,
+            digits,
+            first,
+            stride,
+            slots,
+            bucket_count,
+            group_len,
+            sort_len,
+            sorted: Vec::with_capacity(sort_len * n),
+            starts: vec![0; sort_len * bucket_count + 1],
+            lens: vec![0; sort_len * bucket_count],
+            active: Vec::with_capacity(sort_len * bucket_count),
+            next_active: Vec::with_capacity(sort_len * bucket_count),
+            denoms: Vec::with_capacity(max_pairs),
+            inv_scratch: Vec::with_capacity(max_pairs),
+            live: Vec::with_capacity(group_len),
+            buckets: Vec::with_capacity(group_len * bucket_count),
+            running: Vec::with_capacity(group_len),
+            pair_adds: 0,
+            inverse_passes: 0,
         }
     }
-}
 
-/// Accumulates one window's buckets (batched-affine pair-reduction) and
-/// reduces them.
-fn window_sum_signed(
-    points: &[G1Affine],
-    digits: &[i32],
-    num_windows: usize,
-    window_index: usize,
-    arena: &mut BucketArena,
-) -> (G1Projective, MsmOps) {
-    let mut ops = MsmOps::default();
-    let digit_at = |i: usize| digits[i * num_windows + window_index];
-
-    if !arena.batched {
-        // Narrow window: accumulate directly in projective coordinates.
-        arena
-            .proj_buckets
-            .iter_mut()
-            .for_each(|b| *b = G1Projective::identity());
-        let mut occupancy = if tele::is_recording() {
-            vec![0u32; arena.proj_buckets.len()]
-        } else {
-            Vec::new()
-        };
-        for (i, point) in points.iter().enumerate() {
-            let d = digit_at(i);
-            if d == 0 || point.infinity {
-                continue;
+    /// The affine sums of this worker's windows, in slot order, and the
+    /// pair additions spent collapsing their buckets.
+    fn run(mut self) -> (Vec<G1Affine>, u64) {
+        let mut sums = Vec::with_capacity(self.slots);
+        for group in (0..self.slots).step_by(self.group_len) {
+            let group_end = (group + self.group_len).min(self.slots);
+            for sort in (group..group_end).step_by(self.sort_len) {
+                let sort_end = (sort + self.sort_len).min(group_end);
+                self.sort_by_bucket(sort, sort_end);
+                self.collapse_buckets(sort_end - sort, sort - group);
             }
-            let (b, p) = if d > 0 {
-                (d as usize - 1, *point)
-            } else {
-                ((-d) as usize - 1, -*point)
-            };
-            arena.proj_buckets[b] = arena.proj_buckets[b].add_mixed(&p);
-            ops.bucket_adds += 1;
-            if let Some(c) = occupancy.get_mut(b) {
-                *c += 1;
+            self.reduce_group(group_end - group, &mut sums);
+        }
+        if self.inverse_passes > 0 {
+            tele::counter_add("msm/batch_inverse_passes", self.inverse_passes);
+        }
+        (sums, self.pair_adds)
+    }
+
+    /// Counting-sorts the non-zero digits of slots `sort .. sort_end` into
+    /// (window, bucket)-major order; a negative digit contributes `-P`, a
+    /// free affine negation.
+    fn sort_by_bucket(&mut self, sort: usize, sort_end: usize) {
+        let (bucket_count, stride) = (self.bucket_count, self.stride);
+        let first_window = self.first + sort * stride;
+        let n = self.points.len();
+        // Digits of the sort's window `k`, and the bucket of digit `d` there.
+        let digits_of = |k: usize| &self.digits[(first_window + k * stride) * n..][..n];
+        let bucket_of = |k: usize, d: i32| k * bucket_count + d.unsigned_abs() as usize - 1;
+
+        let lens = &mut self.lens[..(sort_end - sort) * bucket_count];
+        lens.fill(0);
+        for k in 0..sort_end - sort {
+            for (point, &d) in self.points.iter().zip(digits_of(k)) {
+                if d != 0 && !point.infinity {
+                    lens[bucket_of(k, d)] += 1;
+                }
             }
         }
-        // Same histogram the batched path records: occupancy of the hit
-        // buckets, window-determined and thus thread-count invariant.
-        // Accumulated locally and merged in one recorder access.
-        if !occupancy.is_empty() {
+        self.starts[0] = 0;
+        for (b, &len) in lens.iter().enumerate() {
+            self.starts[b + 1] = self.starts[b] + len;
+        }
+        if tele::is_recording() {
+            // Occupancy of the hit buckets only — this is the distribution
+            // the pair-reduction pass count is logarithmic in. The set of
+            // samples is window-determined, so the merged histogram is
+            // identical at every thread count. Accumulated locally and
+            // merged in one recorder access per sort.
             let mut hist = tele::Histogram::default();
-            for &c in &occupancy {
-                if c > 0 {
-                    hist.record(u64::from(c));
-                }
+            for &len in lens.iter().filter(|&&len| len > 0) {
+                hist.record(u64::from(len));
             }
             tele::hist_merge("msm/bucket_occupancy", &hist);
         }
-        let mut running = G1Projective::identity();
-        let mut total = G1Projective::identity();
-        for bucket in arena.proj_buckets.iter().rev() {
-            running += *bucket;
-            total += running;
-            ops.reduction_adds += 2;
-        }
-        return (total, ops);
-    }
-
-    let bucket_count = arena.lens.len();
-    let bucket_of = |d: i32| if d > 0 { d as u32 - 1 } else { (-d) as u32 - 1 };
-
-    // Counting sort the window's non-zero digits into bucket-major order
-    // (a negative digit contributes `-P`, a free affine negation).
-    arena.lens.iter_mut().for_each(|l| *l = 0);
-    for (i, point) in points.iter().enumerate() {
-        let d = digit_at(i);
-        if d != 0 && !point.infinity {
-            arena.lens[bucket_of(d) as usize] += 1;
-        }
-    }
-    arena.starts[0] = 0;
-    for b in 0..bucket_count {
-        arena.starts[b + 1] = arena.starts[b] + arena.lens[b];
-    }
-    if tele::is_recording() {
-        // Occupancy of the hit buckets only — this is the distribution
-        // the pair-reduction pass count is logarithmic in. The set of
-        // samples is window-determined, so the merged histogram is
-        // identical at every thread count. Accumulated locally and
-        // merged in one recorder access per window.
-        let mut hist = tele::Histogram::default();
-        for &l in arena.lens.iter() {
-            if l > 0 {
-                hist.record(u64::from(l));
-            }
-        }
-        tele::hist_merge("msm/bucket_occupancy", &hist);
-    }
-    let total_updates = arena.starts[bucket_count] as usize;
-    arena.sorted.resize(total_updates, G1Affine::identity());
-    {
-        // Scatter; `lens` doubles as the per-bucket write cursor and is
-        // recomputed from the segment bounds afterwards.
-        arena.lens.iter_mut().for_each(|l| *l = 0);
-        for (i, point) in points.iter().enumerate() {
-            let d = digit_at(i);
-            if d == 0 || point.infinity {
-                continue;
-            }
-            let b = bucket_of(d) as usize;
-            let pos = arena.starts[b] + arena.lens[b];
-            arena.sorted[pos as usize] = if d > 0 { *point } else { -*point };
-            arena.lens[b] += 1;
-        }
-    }
-
-    // Pair-reduction tree: each pass pairs up the surviving points inside
-    // every active bucket — pairs are independent affine additions, so
-    // one batch inversion serves the entire pass and the pass count is
-    // logarithmic in the worst bucket occupancy (robust even when every
-    // update hits a single bucket, as in the recoding carry window).
-    arena.active.clear();
-    for b in 0..bucket_count {
-        if arena.lens[b] >= 2 {
-            arena.active.push(b as u32);
-        }
-    }
-    let mut inverse_passes = 0u64;
-    while !arena.active.is_empty() {
-        inverse_passes += 1;
-        arena.denoms.clear();
-        for &b in &arena.active {
-            let s = arena.starts[b as usize] as usize;
-            let l = arena.lens[b as usize] as usize;
-            for pair in arena.sorted[s..s + l].chunks_exact(2) {
-                let (a, c) = (&pair[0], &pair[1]);
-                // λ denominator: x2 - x1 for distinct x, 2y for doubling;
-                // zero marks cancellation (the batch inversion skips zeros
-                // and the apply step never reads the placeholder).
-                arena.denoms.push(if a.x != c.x {
-                    c.x - a.x
-                } else if a.y == c.y {
-                    a.y.double()
-                } else {
-                    Fq::ZERO
-                });
-            }
-        }
-        batch_inverse_with_scratch(&mut arena.denoms, &mut arena.inv_scratch);
-
-        // Apply in the same bucket-major order, in place: pair `i` of a
-        // segment lands at slot `≤ i`, behind every pair still unread, so
-        // each segment compacts as it goes — sums first, odd leftover last.
-        arena.next_active.clear();
-        let mut inverses = arena.denoms.iter();
-        for &b in &arena.active {
-            let s = arena.starts[b as usize] as usize;
-            let l = arena.lens[b as usize] as usize;
-            let mut write = 0usize;
-            for (i, inv) in inverses.by_ref().take(l / 2).enumerate() {
-                ops.bucket_adds += 1;
-                let (a, c) = (&arena.sorted[s + 2 * i], &arena.sorted[s + 2 * i + 1]);
-                if let Some(sum) = affine_add_with_inv(a, c, inv) {
-                    arena.sorted[s + write] = sum;
-                    write += 1;
+        let total = self.starts[lens.len()] as usize;
+        self.sorted.resize(total, G1Affine::identity());
+        // Scatter; `lens` doubles as the per-bucket write cursor and ends
+        // up holding the counts again.
+        lens.fill(0);
+        for k in 0..sort_end - sort {
+            for (point, &d) in self.points.iter().zip(digits_of(k)) {
+                if d != 0 && !point.infinity {
+                    let bucket = bucket_of(k, d);
+                    let at = self.starts[bucket] + lens[bucket];
+                    self.sorted[at as usize] = if d > 0 { *point } else { -*point };
+                    lens[bucket] += 1;
                 }
             }
-            if l % 2 == 1 {
-                arena.sorted[s + write] = arena.sorted[s + l - 1];
-                write += 1;
-            }
-            arena.lens[b as usize] = write as u32;
-            if write >= 2 {
-                arena.next_active.push(b);
-            }
         }
-        std::mem::swap(&mut arena.active, &mut arena.next_active);
-    }
-    if inverse_passes > 0 {
-        tele::counter_add("msm/batch_inverse_passes", inverse_passes);
     }
 
-    // Running-sum reduction: sum_j j * bucket_j with 2 * |buckets| adds.
-    let mut running = G1Projective::identity();
-    let mut total = G1Projective::identity();
-    for b in (0..bucket_count).rev() {
-        if arena.lens[b] == 1 {
-            running = running.add_mixed(&arena.sorted[arena.starts[b] as usize]);
+    /// Pair-reduction tree over the sorted segments of `windows` windows
+    /// — the group's windows `into ..` — whose sums become its buckets. Each
+    /// pass pairs up the surviving points inside every active bucket —
+    /// pairs are independent affine additions, so one batch inversion
+    /// serves the entire pass, whichever windows its buckets belong to,
+    /// and the pass count is logarithmic in the worst bucket occupancy
+    /// (robust even when every update hits a single bucket, as in the
+    /// recoding carry window).
+    fn collapse_buckets(&mut self, windows: usize, into: usize) {
+        let buckets = windows * self.bucket_count;
+        self.active.clear();
+        let crowded = (0..buckets as u32).filter(|&b| self.lens[b as usize] >= 2);
+        self.active.extend(crowded);
+        while !self.active.is_empty() {
+            self.inverse_passes += 1;
+            self.denoms.clear();
+            for &b in &self.active {
+                let s = self.starts[b as usize] as usize;
+                let l = self.lens[b as usize] as usize;
+                let pairs = self.sorted[s..s + l].chunks_exact(2);
+                self.denoms
+                    .extend(pairs.map(|pair| slope_denominator(&pair[0], &pair[1])));
+            }
+            batch_inverse_with_scratch(&mut self.denoms, &mut self.inv_scratch);
+
+            // Apply in the same bucket-major order, in place: pair `i` of a
+            // segment lands at slot `≤ i`, behind every pair still unread, so
+            // each segment compacts as it goes — sums first, odd leftover last.
+            self.next_active.clear();
+            let mut inverses = self.denoms.iter();
+            for &b in &self.active {
+                let s = self.starts[b as usize] as usize;
+                let l = self.lens[b as usize] as usize;
+                let mut write = 0usize;
+                self.pair_adds += (l / 2) as u64;
+                for (i, inv) in inverses.by_ref().take(l / 2).enumerate() {
+                    let (a, c) = (&self.sorted[s + 2 * i], &self.sorted[s + 2 * i + 1]);
+                    if let Some(sum) = affine_add_with_inv(a, c, inv) {
+                        self.sorted[s + write] = sum;
+                        write += 1;
+                    }
+                }
+                if l % 2 == 1 {
+                    self.sorted[s + write] = self.sorted[s + l - 1];
+                    write += 1;
+                }
+                self.lens[b as usize] = write as u32;
+                if write >= 2 {
+                    self.next_active.push(b);
+                }
+            }
+            std::mem::swap(&mut self.active, &mut self.next_active);
         }
-        total += running;
-        ops.reduction_adds += 2;
+        // A collapsed bucket is the first point of its segment, if any.
+        for window in 0..windows {
+            let (lo, hi) = (window * self.bucket_count, (window + 1) * self.bucket_count);
+            if self.starts[lo] == self.starts[hi] {
+                continue;
+            }
+            self.live.push((into + window) as u32);
+            let segments = self.lens[lo..hi].iter().zip(&self.starts[lo..hi]);
+            self.buckets
+                .extend(segments.map(|(&len, &start)| match len {
+                    0 => G1Affine::identity(),
+                    _ => self.sorted[start as usize],
+                }));
+        }
     }
-    (total, ops)
+
+    /// Running-sum reduction `Σ_j j · bucket_j` of the group's `windows`
+    /// windows in lock-step, pushing one sum per window. A step adds, per
+    /// window, `total += running` and `running += bucket` for the next
+    /// bucket down — both on the running sum the step found, so every
+    /// addition of a step is independent and one inversion serves them
+    /// all; a last step with no bucket left folds the final running sums
+    /// in. An identity operand makes an addition a copy; `total ==
+    /// running` (after a window's first occupied bucket) and `running ==
+    /// -bucket` are the doubling and cancellation cases of
+    /// [`affine_add_with_inv`].
+    fn reduce_group(&mut self, windows: usize, sums: &mut Vec<G1Affine>) {
+        let bucket_count = self.bucket_count;
+        self.running.clear();
+        self.running.resize(self.live.len(), G1Affine::identity());
+        let done = sums.len();
+        sums.resize(done + windows, G1Affine::identity());
+        let total = &mut sums[done..];
+        let none_left = G1Affine::identity();
+        for step in (0..=bucket_count).rev() {
+            let bucket = |live: usize| match step {
+                0 => &none_left,
+                _ => &self.buckets[live * bucket_count + step - 1],
+            };
+            self.denoms.clear();
+            for (live, (&w, running)) in self.live.iter().zip(&self.running).enumerate() {
+                for (a, c) in [(&total[w as usize], running), (running, bucket(live))] {
+                    if !a.infinity && !c.infinity {
+                        self.denoms.push(slope_denominator(a, c));
+                    }
+                }
+            }
+            batch_inverse_with_scratch(&mut self.denoms, &mut self.inv_scratch);
+            let mut inverses = self.denoms.iter();
+            let mut add = |a: &G1Affine, c: &G1Affine| match (a.infinity, c.infinity) {
+                (true, _) => *c,
+                (_, true) => *a,
+                _ => {
+                    let inv = inverses.next().expect("one inverse per finite pair");
+                    affine_add_with_inv(a, c, inv).unwrap_or_default()
+                }
+            };
+            for (live, (&w, running)) in self.live.iter().zip(&mut self.running).enumerate() {
+                total[w as usize] = add(&total[w as usize], running);
+                *running = add(running, bucket(live));
+            }
+        }
+        self.live.clear();
+        self.buckets.clear();
+    }
+}
+
+/// Slope denominator of the affine addition `a + c` of two finite
+/// points: `x_c - x_a` for distinct x, `2 y_a` for a doubling; zero marks
+/// cancellation (the batch inversion skips zeros and
+/// [`affine_add_with_inv`] never reads the placeholder).
+fn slope_denominator(a: &G1Affine, c: &G1Affine) -> Fq {
+    if a.x != c.x {
+        c.x - a.x
+    } else if a.y == c.y {
+        a.y.double()
+    } else {
+        Fq::ZERO
+    }
 }
 
 /// Affine addition `q + p` given `inv`, the precomputed inverse of the
@@ -576,11 +629,11 @@ mod tests {
 
     #[test]
     fn batched_affine_path_matches_unsigned() {
-        // A 2^12-point instance on the batched-affine path (every test
-        // here from n = 2^8 up takes it; the crossover sweep lives in
-        // `tests/tests/prover_hot_path.rs`). Points come from a generator
-        // chain (cheap to build) and scalars mix dense randoms with zeros
-        // and duplicates so buckets both collide and cancel.
+        // A 2^12-point instance, four times the spawn threshold (the size
+        // sweep lives in `tests/tests/prover_hot_path.rs`). Points come
+        // from a generator chain (cheap to build) and scalars mix dense
+        // randoms with zeros and duplicates so buckets both collide and
+        // cancel.
         let n = 4096;
         let g = G1Affine::generator();
         let mut acc = G1Projective::from(g);
@@ -605,6 +658,16 @@ mod tests {
         assert_eq!(par, signed);
         assert_eq!(par_ops, ops);
         assert_eq!(ops.skipped_zeros, (n / 8) as u64);
+    }
+
+    #[test]
+    fn window_widths_are_pinned_at_the_workload_sizes() {
+        // `MsmOps` — hence the benchmark's exact `curve.msm_padds` and the
+        // hardware model's calibration — follows from the width alone.
+        let widths: Vec<u32> = (0..=13).map(|k| optimal_window_bits(1 << k)).collect();
+        assert_eq!(widths, [1, 1, 3, 3, 3, 4, 4, 4, 5, 6, 7, 8, 9, 10]);
+        let either_side = [3usize, 4, 31, 32, 255, 256].map(optimal_window_bits);
+        assert_eq!(either_side, [1, 3, 3, 4, 4, 5]);
     }
 
     #[test]

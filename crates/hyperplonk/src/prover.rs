@@ -204,36 +204,41 @@ pub fn prove_with_config(
     drop(evals_span);
 
     // Step 5 — OpenCheck + MLE Combine + single opening.
-    let oc_span = tele::span("prove/opencheck");
-    let etas = transcript.challenge_frs(b"hyperplonk/opencheck/eta", layout.len());
-    let oc_poly = opencheck_composite(system, &etas);
     let k_p = num_distinct_polys(system);
-    let mut oc_mles: Vec<Mle> = Vec::with_capacity(k_p + NUM_POINTS);
-    oc_mles.extend(pk.circuit.selectors.iter().cloned());
-    oc_mles.extend(witness.columns.iter().cloned());
-    oc_mles.extend(pk.sigma_mles.iter().cloned());
-    oc_mles.push(perm.phi.clone());
-    oc_mles.push(perm.pi.clone());
-    oc_mles.push(perm.p1.clone());
-    oc_mles.push(perm.p2.clone());
-    oc_mles.push(Mle::eq_table(&x_zc));
-    oc_mles.push(Mle::eq_table(&x_pc));
-    oc_mles.push(Mle::eq_table(&index_point(root_index(n), mu)));
-    let combine_inputs = oc_mles[..k_p].to_vec();
-    let oc_out = sumcheck_prove(&oc_poly, oc_mles, transcript, threads);
-    let r_star = oc_out.challenges.clone();
-    drop(oc_span);
+    // Every committed table, in `claim_layout` slot order.
+    let committed = || {
+        let columns = pk.circuit.selectors.iter().chain(&witness.columns);
+        let wiring = pk
+            .sigma_mles
+            .iter()
+            .chain([&perm.phi, &perm.pi, &perm.p1, &perm.p2]);
+        columns.chain(wiring)
+    };
+    let oc_out = {
+        let _oc_span = tele::span("prove/opencheck");
+        let etas = transcript.challenge_frs(b"hyperplonk/opencheck/eta", layout.len());
+        let oc_poly = opencheck_composite(system, &etas);
+        let mut oc_mles: Vec<Mle> = Vec::with_capacity(k_p + NUM_POINTS);
+        oc_mles.extend(committed().cloned());
+        oc_mles.push(Mle::eq_table(&x_zc));
+        oc_mles.push(Mle::eq_table(&x_pc));
+        oc_mles.push(Mle::eq_table(&index_point(root_index(n), mu)));
+        sumcheck_prove(&oc_poly, oc_mles, transcript, threads)
+    };
 
     // MLE Combine: g = Σ ζ_i poly_i, opened once.
     let opening_span = tele::span("prove/opening");
     let zetas = transcript.challenge_frs(b"hyperplonk/combine/zeta", k_p);
     let g = {
         let _s = tele::span("prove/opening/mle_combine");
-        mle_combine(&combine_inputs, &zetas, mu, threads)
+        mle_combine(&committed().collect::<Vec<_>>(), &zetas, mu, threads)
     };
+    // The opening reads `g` alone, and a small prove's heap peaks inside
+    // its MSMs: release the permutation tables before it starts.
+    drop(perm);
     let (opening, opening_value) = {
         let _s = tele::span("prove/opening/pcs_open");
-        pk.pcs.open_with_threads(&g, &r_star, threads)
+        pk.pcs.open_with_threads(&g, &oc_out.challenges, threads)
     };
     drop(opening_span);
 
@@ -251,7 +256,7 @@ pub fn prove_with_config(
 
 /// The paper's *MLE Combine* kernel: `g = Σ_i ζ_i · poly_i`, chunked over
 /// disjoint row ranges so the result is thread-count independent.
-fn mle_combine(inputs: &[Mle], zetas: &[Fr], mu: usize, threads: usize) -> Mle {
+fn mle_combine(inputs: &[&Mle], zetas: &[Fr], mu: usize, threads: usize) -> Mle {
     let n = 1usize << mu;
     let combine_row = |row: usize| -> Fr {
         inputs

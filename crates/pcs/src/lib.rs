@@ -246,8 +246,10 @@ impl FixedBaseTable {
 }
 
 impl TrapdoorVerifier {
-    /// Checks an opening: `C - y·g == Σ_i (τ_i - z_i)·π_i` (the pairing
-    /// equation evaluated in the exponent; see crate docs).
+    /// Checks an opening: `C == y·g + Σ_i (τ_i - z_i)·π_i`, one MSM over
+    /// `[g, π_1, …, π_µ]`. This is the S1 trapdoor check — the pairing
+    /// equation evaluated in the exponent with the setup secret (see crate
+    /// docs) — not a pairing.
     pub fn verify(
         &self,
         commitment: &Commitment,
@@ -255,18 +257,16 @@ impl TrapdoorVerifier {
         value: Fr,
         proof: &OpeningProof,
     ) -> bool {
-        let offset = self.tau.len() - point.len();
-        if proof.quotients.len() != point.len() {
+        if proof.quotients.len() != point.len() || point.len() > self.tau.len() {
             return false;
         }
-        let g = G1Projective::generator();
-        let lhs = G1Projective::from(commitment.0) + (-g.mul_fr(&value));
-        let mut rhs = G1Projective::identity();
-        for (i, (&z, q)) in point.iter().zip(&proof.quotients).enumerate() {
-            let scale = self.tau[offset + i] - z;
-            rhs += G1Projective::from(*q).mul_fr(&scale);
-        }
-        lhs == rhs
+        let tau = &self.tau[self.tau.len() - point.len()..];
+        let scales = tau.iter().zip(point).map(|(&t, &z)| t - z);
+        let scalars: Vec<Fr> = std::iter::once(value).chain(scales).collect();
+        let mut points = Vec::with_capacity(scalars.len());
+        points.push(G1Affine::generator());
+        points.extend_from_slice(&proof.quotients);
+        msm(&points, &scalars) == G1Projective::from(commitment.0)
     }
 
     /// Directly computes the commitment an MLE *should* have (test oracle:
@@ -351,6 +351,42 @@ mod tests {
         let (mut proof, value) = pcs.open(&f, &point);
         proof.quotients[1] = G1Affine::generator();
         assert!(!verifier.verify(&c, &point, value, &proof));
+    }
+
+    #[test]
+    fn degenerate_quotients_rejected() {
+        // Quotients the one-MSM check meets as special cases of its bucket
+        // arithmetic — a negation, the identity, a duplicate — must change
+        // its verdict, not its control flow.
+        let (pcs, verifier, mut rng) = setup(5, 12);
+        let f = Mle::from_fn(5, |_| Fr::random(&mut rng));
+        let c = pcs.commit(&f);
+        let point: Vec<Fr> = (0..5).map(|_| Fr::random(&mut rng)).collect();
+        let (proof, value) = pcs.open(&f, &point);
+        assert!(verifier.verify(&c, &point, value, &proof));
+        for i in 0..5 {
+            let j = (i + 1) % 5;
+            for forged in [
+                -proof.quotients[i],
+                G1Affine::identity(),
+                proof.quotients[j],
+            ] {
+                let mut tampered = proof.clone();
+                tampered.quotients[i] = forged;
+                assert!(
+                    !verifier.verify(&c, &point, value, &tampered),
+                    "quotient {i}"
+                );
+            }
+        }
+        let mut short = proof.clone();
+        short.quotients.pop();
+        assert!(!verifier.verify(&c, &point, value, &short));
+        // A point longer than the SRS is a mismatch, not a panic.
+        let long_point = [&point[..], &point[..]].concat();
+        let mut long = proof.clone();
+        long.quotients.extend_from_slice(&proof.quotients);
+        assert!(!verifier.verify(&c, &long_point, value, &long));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! slow-but-obviously-correct references: signed-digit batched-affine MSM
 //! against naive double-and-add, and the parallel SumCheck prover against
 //! the single-threaded transcript, on seeded random inputs. Plus the sweep
-//! across the projective / batched-affine bucket crossover and the
+//! across every window width the prover meets, the inputs that corner the
+//! lock-step affine bucket reduction and the window grouping, and the
 //! proof-bytes pin that keep MSM kernel changes output-neutral, and the
 //! production SumCheck round evaluator against the counted reference on
 //! random composites over dense, binary, sparse and all-zero tables.
@@ -10,7 +11,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use zkphire_curve::{batch_normalize, msm_naive, msm_with_ops_threads, G1Affine, G1Projective};
+use zkphire_curve::{
+    batch_normalize, msm_naive, msm_with_ops_threads, optimal_window_bits, G1Affine, G1Projective,
+};
 use zkphire_field::Fr;
 use zkphire_hyperplonk::{prove_with_config, setup, verify, Circuit, GateSystem, ProverConfig};
 use zkphire_poly::expr::{konst, var, GateExpr};
@@ -91,6 +94,38 @@ proptest! {
             prop_assert_eq!(rt, expected);
             prop_assert_eq!(ot, o1);
         }
+    }
+
+    /// Small MSMs — where several windows share one counting sort and one
+    /// inversion — over a pool of at most four points, their negations
+    /// and the identity, so buckets double, cancel and empty out, under
+    /// small, sparse and dense scalars.
+    #[test]
+    fn small_msm_over_duplicate_heavy_points_matches_naive(
+        n in 1usize..65,
+        pool in 1usize..5,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<G1Affine> = (0..pool).map(|_| G1Affine::random(&mut rng)).collect();
+        let points: Vec<G1Affine> = (0..n)
+            .map(|_| match (pool[rng.gen_range(0..pool.len())], rng.gen_range(0u8..8)) {
+                (_, 0) => G1Affine::identity(),
+                (p, 1..=3) => -p,
+                (p, _) => p,
+            })
+            .collect();
+        let kind = rng.gen_range(0u8..3);
+        let scalars: Vec<Fr> = (0..n)
+            .map(|_| match kind {
+                0 => Fr::from_u64(rng.gen_range(0..16)),
+                1 if rng.gen_ratio(3, 4) => Fr::ZERO,
+                _ => Fr::random(&mut rng),
+            })
+            .collect();
+        let (result, ops) = msm_with_ops_threads(&points, &scalars, 1);
+        prop_assert_eq!(result, msm_naive(&points, &scalars));
+        prop_assert_eq!(msm_with_ops_threads(&points, &scalars, 4), (result, ops));
     }
 
     /// Parallel SumCheck provers produce proofs, challenges, and
@@ -268,43 +303,48 @@ fn msm_shapes(n: usize, points: &[G1Affine], logs: &[Fr], rng: &mut StdRng) -> V
     ]
 }
 
-/// Signed MSM against the closed form `(Σ s_i k_i)·G` for every shape at
-/// every size in `sizes`. Up to 2^10 points — and on the dense shape
-/// above — also against `msm_naive` (to 2^7; a debug build pays ~10 µs
-/// per point addition) and itself at 2, 4 and 9 threads with identical
-/// `MsmOps`.
+/// Signed MSM against the closed form `(Σ s_i k_i)·G`. Up to 2^10 points
+/// — and on the dense shape above — also against `msm_naive` (to 2^7; a
+/// debug build pays ~10 µs per point addition) and itself at 2, 4 and 9
+/// threads with identical `MsmOps`.
+fn check_msm_case(case: &MsmCase) {
+    let MsmCase {
+        what,
+        points,
+        logs,
+        scalars,
+    } = case;
+    let n = points.len();
+    let combined: Fr = logs.iter().zip(scalars).map(|(k, s)| *k * *s).sum();
+    let expected = G1Projective::generator().mul_fr(&combined);
+    let (r1, o1) = msm_with_ops_threads(points, scalars, 1);
+    assert_eq!(r1, expected, "{what}, n={n}: signed, 1 thread");
+    if n <= 1 << 7 {
+        assert_eq!(msm_naive(points, scalars), expected, "{what}, n={n}");
+    }
+    if n <= 1 << 10 || *what == "dense" {
+        for threads in [2usize, 4, 9] {
+            let (rt, ot) = msm_with_ops_threads(points, scalars, threads);
+            assert_eq!(rt, expected, "{what}, n={n}: {threads} threads");
+            assert_eq!(ot, o1, "{what}, n={n}: MsmOps at {threads} threads");
+        }
+    }
+}
+
+/// [`check_msm_case`] for every shape at every size in `sizes`.
 fn check_msm_sizes(sizes: &[usize], seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let max = sizes.iter().copied().max().expect("some size");
     let (points, logs) = points_with_logs(max);
     for &n in sizes {
         for case in msm_shapes(n, &points, &logs, &mut rng) {
-            let MsmCase {
-                what,
-                points,
-                logs,
-                scalars,
-            } = case;
-            let combined: Fr = logs.iter().zip(&scalars).map(|(k, s)| *k * *s).sum();
-            let expected = G1Projective::generator().mul_fr(&combined);
-            let (r1, o1) = msm_with_ops_threads(&points, &scalars, 1);
-            assert_eq!(r1, expected, "{what}, n={n}: signed, 1 thread");
-            if n <= 1 << 7 {
-                assert_eq!(msm_naive(&points, &scalars), expected, "{what}, n={n}");
-            }
-            if n <= 1 << 10 || what == "dense" {
-                for threads in [2usize, 4, 9] {
-                    let (rt, ot) = msm_with_ops_threads(&points, &scalars, threads);
-                    assert_eq!(rt, expected, "{what}, n={n}: {threads} threads");
-                    assert_eq!(ot, o1, "{what}, n={n}: MsmOps at {threads} threads");
-                }
-            }
+            check_msm_case(&case);
         }
     }
 }
 
-/// Projective buckets below 2^8 points, batched-affine pair-reduction
-/// from there up, and one point either side of the crossover.
+/// Every window width from 3 bits (2^4 points) to 7 (2^10), and one point
+/// either side of 2^8, below which several windows share a counting sort.
 #[test]
 fn msm_agrees_across_the_bucket_path_crossover() {
     let mut sizes: Vec<usize> = (4..=10).map(|k| 1 << k).collect();
@@ -317,6 +357,113 @@ fn msm_agrees_across_the_bucket_path_crossover() {
 #[test]
 fn msm_agrees_at_prover_column_sizes() {
     check_msm_sizes(&[1 << 11, 1 << 12], 0x5eed + 1);
+}
+
+/// The scalar whose signed digit is `digit` in each of the low `windows`
+/// windows of width `bits` (`digit ≤ 2^(bits-1)`, so nothing carries).
+fn repeated_digit(digit: u64, bits: u32, windows: usize) -> Fr {
+    let base = Fr::from_u64(1 << bits);
+    (0..windows).fold(Fr::ZERO, |acc, _| acc * base + Fr::from_u64(digit))
+}
+
+/// Inputs that corner the lock-step affine bucket reduction, at a size
+/// for each way the windows are grouped: one running sum per window whose
+/// `total += running` doubles right after the first occupied bucket, runs
+/// that cancel to the identity half-way down and start again, and windows
+/// whose only occupied bucket is the top or the bottom one.
+#[test]
+fn msm_reduction_meets_doubling_cancellation_and_lone_buckets() {
+    let (chain, chain_logs) = points_with_logs(1 << 10);
+    for n in [4usize, 16, 32, 100, 1 << 8, 1 << 10] {
+        let bits = optimal_window_bits(n);
+        let windows = (250 / bits) as usize;
+        let on_chain = |what, scalars| MsmCase {
+            what,
+            points: chain[..n].to_vec(),
+            logs: chain_logs[..n].to_vec(),
+            scalars,
+        };
+        // P under digit 3, -P under digit 2, Q under digit 1, in every
+        // window: the running sum is P, then the identity, then Q.
+        let mut cancelling = on_chain("running sum cancels mid-reduction", vec![Fr::ZERO; n]);
+        cancelling.points[1] = -chain[0];
+        cancelling.logs[1] = -chain_logs[0];
+        for (scalar, digit) in cancelling.scalars.iter_mut().zip([3, 2, 1]) {
+            *scalar = repeated_digit(digit, bits, windows);
+        }
+        for case in [
+            // One occupied bucket per window: `total` is a copy of the
+            // running sum one step later and its double the step after.
+            on_chain("all scalars r - 1", vec![-Fr::ONE; n]),
+            on_chain("all scalars 1", vec![Fr::ONE; n]),
+            on_chain(
+                "all scalars in the top bucket",
+                vec![repeated_digit(1 << (bits - 1), bits, windows); n],
+            ),
+            on_chain(
+                "all scalars in the bottom bucket",
+                vec![repeated_digit(1, bits, windows); n],
+            ),
+            cancelling,
+        ] {
+            check_msm_case(&case);
+        }
+    }
+}
+
+/// A single non-zero scalar among zeros, and nothing but zeros, at the
+/// sizes either side of every change of window width or sort width.
+#[test]
+fn msm_skips_zero_scalars_at_every_width_boundary() {
+    let (points, logs) = points_with_logs(257);
+    let mut rng = StdRng::seed_from_u64(0x5eed + 2);
+    for n in [1usize, 2, 3, 4, 31, 32, 33, 255, 256, 257] {
+        let mut case = MsmCase {
+            what: "all-zero scalars",
+            points: points[..n].to_vec(),
+            logs: logs[..n].to_vec(),
+            scalars: vec![Fr::ZERO; n],
+        };
+        check_msm_case(&case);
+        let (zero, ops) = msm_with_ops_threads(&case.points, &case.scalars, 1);
+        assert!(zero.is_identity(), "n={n}");
+        assert_eq!((ops.skipped_zeros, ops.bucket_adds), (n as u64, 0), "n={n}");
+
+        case.what = "one non-zero scalar";
+        case.scalars[rng.gen_range(0..n)] = Fr::random(&mut rng);
+        check_msm_case(&case);
+        let (_, ops) = msm_with_ops_threads(&case.points, &case.scalars, 1);
+        assert_eq!(
+            (ops.skipped_zeros, ops.bucket_adds),
+            (n as u64 - 1, 0),
+            "n={n}"
+        );
+    }
+}
+
+/// Dense inputs at the sizes and thread counts that cut a worker's windows
+/// every way the kernel can: 256 one-bit windows in seven groups (n = 1),
+/// 86 in three (n = 16), 65 in two with a last sort of one window
+/// (n = 32), sorts of two windows (n = 128), and at 2^10 points 38 windows
+/// as one group, as 2, 4 or 9 workers' shares, and one window per worker.
+#[test]
+fn msm_agrees_at_every_window_grouping() {
+    let (points, logs) = points_with_logs(1 << 10);
+    let mut rng = StdRng::seed_from_u64(0x5eed + 3);
+    for n in [1usize, 3, 16, 32, 128, 1 << 10] {
+        let case = MsmCase {
+            what: "dense",
+            points: points[..n].to_vec(),
+            logs: logs[..n].to_vec(),
+            scalars: (0..n).map(|_| Fr::random(&mut rng)).collect(),
+        };
+        check_msm_case(&case);
+        let (r1, o1) = msm_with_ops_threads(&case.points, &case.scalars, 1);
+        for threads in [19usize, 38, 64] {
+            let wide = msm_with_ops_threads(&case.points, &case.scalars, threads);
+            assert_eq!(wide, (r1, o1), "n={n}: {threads} threads");
+        }
+    }
 }
 
 /// Proof bytes for a fixed seed, pinned at the commit before the
