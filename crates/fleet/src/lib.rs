@@ -10,8 +10,11 @@
 //! # DES design
 //!
 //! The simulator is an event loop over a binary-heap future-event list
-//! ([`events::EventQueue`]). Two event kinds exist: a request arrival
-//! and a chip finishing its batch. Every tie on the f64 timestamp is
+//! ([`events::EventQueue`]). Nine event kinds exist ([`events::Event`]):
+//! a request arrival, a chip finishing its batch, a chip coming up or
+//! going down under the autoscaler, a chip failing (drawn or scripted)
+//! or finishing repair, a parked request's retry, and the autoscaler's
+//! tick. Every tie on the f64 timestamp is
 //! broken by a monotone sequence number, and every random draw comes
 //! from an explicitly seeded [`rng::SplitMix64`] stream — no wall
 //! clock, no OS entropy — so a run is a pure function of
@@ -22,19 +25,31 @@
 //!
 //! ```text
 //! arrivals ──► admission ──► batching policy ──► chip pool ──► records
-//! (Poisson,    (queue cap)   (FIFO | size-class  (elastic:     (SLO +
-//!  ON/OFF,                    | EDF | weighted-   autoscaler    fairness
-//!  trace,                     fair DRR)           grows/shrinks metrics)
-//!  per-tenant)                                    within bounds)
+//! (Poisson,    (tenant cap,  (FIFO | size-class  (elastic:     (SLO +
+//!  ON/OFF,      then queue    | EDF | weighted-   autoscaler    fairness
+//!  trace,       capacity)     fair DRR)           grows/shrinks metrics)
+//!  per-tenant)       ▲              │             within bounds;
+//!                    │              ▼             chips fail and
+//!               retry backoff ◄── rescue ◄─────── repair)
+//!               (or lost)      (failed batch, expired deadline;
+//!                               brown-out sheds the queue instead)
 //! ```
+//!
+//! The rules of that loop — admission caps, queueing, retry / lost,
+//! re-admission, brown-out shedding, batch selection and the drain
+//! checks — live in one module, [`lifecycle`], which owns no clock and
+//! returns what happened as values; [`sim`] is the event loop that
+//! calls it, and the live service in `zkphire-serve` calls the same
+//! functions from its dispatcher thread.
 //!
 //! * **Arrivals** ([`arrivals`]) are open-loop: Poisson, bursty ON/OFF
 //!   (interrupted Poisson), or a replayed trace. Each request draws a
 //!   class `(gate, log2 n)` from a [`mix::WorkloadMix`] built on the
 //!   paper's Tables VI/VII workloads.
-//! * **Admission** optionally bounds the queue; overflow is rejected
-//!   and counted (a real service sheds load rather than queue without
-//!   bound).
+//! * **Admission** ([`lifecycle::AdmissionLedger`]) optionally bounds
+//!   each tenant's share of the queue and the queue as a whole;
+//!   overflow is rejected and counted (a real service sheds load
+//!   rather than queue without bound).
 //! * **Batching** ([`policy`]) groups same-class requests so a chip
 //!   pays its per-batch reconfiguration (§III-E program load) once per
 //!   batch instead of once per proof.
@@ -99,6 +114,7 @@ pub mod arrivals;
 pub mod error;
 pub mod events;
 pub mod fault;
+pub mod lifecycle;
 pub mod metrics;
 pub mod mix;
 pub mod policy;
@@ -111,6 +127,7 @@ pub use arrivals::{ArrivalSource, OnOffSource, PoissonSource, TraceSource};
 pub use error::SimError;
 pub use events::{Event, EventQueue};
 pub use fault::{BrownOutConfig, ChipOutage, FaultConfig, FaultKind, FaultModel, RetryPolicy};
+pub use lifecycle::{AdmissionLedger, Dispatch, Lifecycle, Readmit, Refusal, Rescue};
 pub use metrics::{
     jain_index, quantile, quantile_sorted, try_quantile, try_summarize, FleetSummary, MetricsError,
     RunAccumulators, TenantSummary,
@@ -126,8 +143,7 @@ pub use scale::{
     StaticScale, UtilizationTargetScale,
 };
 pub use sim::{
-    resolve_tenant_cap, simulate, simulate_poisson_fleet, uniform_trace, FleetConfig, SimReport,
-    TraceEntry,
+    simulate, simulate_poisson_fleet, uniform_trace, FleetConfig, SimReport, TraceEntry,
 };
 pub use zkphire_telemetry::{
     AdmissionOutcome, ChipPhase, ChipSpan, Outcome, SeriesPoint, SimTimeline,

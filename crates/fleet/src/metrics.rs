@@ -238,7 +238,7 @@ impl FleetSummary {
 }
 
 /// Raw accumulators the simulator hands to [`summarize`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunAccumulators {
     /// Per-chip busy milliseconds.
     pub busy_ms: Vec<f64>,
@@ -541,24 +541,12 @@ mod tests {
         };
         let acc = RunAccumulators {
             busy_ms: vec![0.0],
-            depth_time_integral: 0.0,
-            max_queue_depth: 0,
             batches: 1,
             arrivals: 2,
-            rejected: 0,
-            rejected_by_tenant: BTreeMap::new(),
-            shed: 0,
-            shed_by_tenant: BTreeMap::new(),
-            lost: 0,
-            lost_by_tenant: BTreeMap::new(),
-            retries: 0,
-            chip_failures: 0,
-            chip_repairs: 0,
             makespan_ms: 10.0,
             chip_time_integral_ms: 10.0,
             peak_chips: 1,
-            scale_ups: 0,
-            scale_downs: 0,
+            ..Default::default()
         };
         // A NaN finish time must surface as a typed error naming the
         // record, not a panic from inside a sort comparator.
@@ -588,24 +576,11 @@ mod tests {
         };
         let acc = RunAccumulators {
             busy_ms: vec![0.0],
-            depth_time_integral: 0.0,
-            max_queue_depth: 0,
-            batches: 0,
             arrivals: 1,
-            rejected: 0,
-            rejected_by_tenant: BTreeMap::new(),
-            shed: 0,
-            shed_by_tenant: BTreeMap::new(),
-            lost: 0,
-            lost_by_tenant: BTreeMap::new(),
-            retries: 0,
-            chip_failures: 0,
-            chip_repairs: 0,
             makespan_ms: 1.0,
             chip_time_integral_ms: 1.0,
             peak_chips: 1,
-            scale_ups: 0,
-            scale_downs: 0,
+            ..Default::default()
         };
         summarize(&[rec], &acc, &[]);
     }

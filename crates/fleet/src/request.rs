@@ -83,6 +83,29 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
+    /// The record of `req` served on `chip` in a batch of `batch_size`
+    /// that ran from `start_ms` to `finish_ms`.
+    pub fn served(
+        req: &Request,
+        chip: usize,
+        batch_size: usize,
+        start_ms: f64,
+        finish_ms: f64,
+    ) -> Self {
+        Self {
+            id: req.id,
+            tenant: req.tenant,
+            class: req.class,
+            arrival_ms: req.arrival_ms,
+            deadline_ms: req.deadline_ms,
+            start_ms,
+            finish_ms,
+            chip,
+            batch_size,
+            attempts: req.attempts,
+        }
+    }
+
     /// Sojourn time: queueing plus service (ms).
     pub fn latency_ms(&self) -> f64 {
         self.finish_ms - self.arrival_ms
@@ -117,6 +140,20 @@ pub struct OutcomeRecord {
 }
 
 impl OutcomeRecord {
+    /// The record of `req` leaving at `t_ms` without service
+    /// ([`Outcome::Lost`], [`Outcome::Shed`]): no sojourn time.
+    pub fn unserved(req: &Request, outcome: Outcome, t_ms: f64) -> Self {
+        Self {
+            id: req.id,
+            tenant: req.tenant,
+            class: req.class,
+            outcome,
+            t_ms,
+            latency_ms: 0.0,
+            attempts: req.attempts,
+        }
+    }
+
     /// One JSONL line (no trailing newline), stable field order.
     pub fn to_jsonl_line(&self) -> String {
         format!(

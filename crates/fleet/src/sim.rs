@@ -17,18 +17,20 @@
 //! * brown-out ([`BrownOutConfig`]) sheds the latest-deadline work when
 //!   surviving capacity drops below a threshold.
 //!
+//! The admission, retry, shedding and batching *rules* live in
+//! [`crate::lifecycle`], shared with the live service; this file is the
+//! event loop that calls them, the chip pool, and the trace.
+//!
 //! All of it is deterministic: a run is a pure function of
 //! `(config, seed)`, and [`SimReport::trace_hash`] certifies replay.
-
-use std::collections::BTreeMap;
 
 use crate::arrivals::ArrivalSource;
 use crate::events::{Event, EventQueue};
 use crate::fault::{BrownOutConfig, FaultConfig, FaultKind, FaultModel, RetryPolicy};
+use crate::lifecycle::{AdmissionLedger, Lifecycle, Readmit, Rescue};
 use crate::metrics::{try_summarize, FleetSummary, RunAccumulators};
-use crate::policy::{BatchPolicy, PolicyKind};
+use crate::policy::PolicyKind;
 use crate::request::{Request, RequestClass, RequestRecord, TenantId};
-use crate::rng::SplitMix64;
 use crate::scale::{
     AutoscaleConfig, AutoscalePolicy, ScaleDecision, ScaleObservation, TenantWeights,
 };
@@ -182,26 +184,6 @@ impl FleetConfig {
         self.default_tenant_cap = Some(cap);
         self
     }
-
-    /// The queued-request cap admission enforces for `tenant`:
-    /// its `tenant_caps` entry, else the default cap, else `None`.
-    pub fn tenant_cap(&self, tenant: TenantId) -> Option<usize> {
-        resolve_tenant_cap(&self.tenant_caps, self.default_tenant_cap, tenant)
-    }
-}
-
-/// The per-tenant admission-cap rule, shared by the DES and the live
-/// service: the tenant's entry in `caps`, else `default`, else `None`
-/// (unlimited).
-pub fn resolve_tenant_cap(
-    caps: &[(TenantId, usize)],
-    default: Option<usize>,
-    tenant: TenantId,
-) -> Option<usize> {
-    caps.iter()
-        .find(|(t, _)| *t == tenant)
-        .map(|(_, cap)| *cap)
-        .or(default)
 }
 
 /// One entry of the reproducible event trace.
@@ -395,14 +377,25 @@ pub fn simulate<S: ArrivalSource>(
             )));
         }
     }
-    let fault_seed = cfg.faults.as_ref().map_or(0, |f| f.seed);
-    let mut engine = Engine {
+    let engine = Engine {
         cfg,
         queue: EventQueue::new(),
-        policy: cfg.policy.build_with(&cfg.tenant_weights),
+        life: Lifecycle::new(
+            cfg.policy.build_with(&cfg.tenant_weights),
+            cfg.max_batch,
+            cfg.retry,
+            cfg.brown_out,
+            // Backoff jitter draws from the fault seed's own stream.
+            cfg.faults.as_ref().map_or(0, |f| f.seed),
+            RunAccumulators {
+                busy_ms: vec![0.0; slots],
+                peak_chips: initial_online,
+                ..Default::default()
+            },
+        ),
+        ledger: AdmissionLedger::new(&cfg.tenant_caps, cfg.default_tenant_cap, cfg.queue_capacity),
         scaler: cfg.autoscale.as_ref().map(|a| a.kind.build()),
         faults: cfg.faults.clone().map(FaultModel::new),
-        retry_rng: RetryPolicy::jitter_stream(fault_seed),
         chips: (0..slots)
             .map(|i| Chip {
                 state: if i < initial_online {
@@ -425,29 +418,6 @@ pub fn simulate<S: ArrivalSource>(
         initial_online,
         records: Vec::new(),
         trace: Vec::new(),
-        acc: RunAccumulators {
-            busy_ms: vec![0.0; slots],
-            depth_time_integral: 0.0,
-            max_queue_depth: 0,
-            batches: 0,
-            arrivals: 0,
-            rejected: 0,
-            rejected_by_tenant: BTreeMap::new(),
-            shed: 0,
-            shed_by_tenant: BTreeMap::new(),
-            lost: 0,
-            lost_by_tenant: BTreeMap::new(),
-            retries: 0,
-            chip_failures: 0,
-            chip_repairs: 0,
-            makespan_ms: 0.0,
-            chip_time_integral_ms: 0.0,
-            peak_chips: initial_online,
-            scale_ups: 0,
-            scale_downs: 0,
-        },
-        parked: BTreeMap::new(),
-        tenant_queued: BTreeMap::new(),
         pending: None,
         next_id: 0,
         timeline: cfg.telemetry.then(|| SimTimeline::new(slots)),
@@ -462,11 +432,14 @@ pub fn simulate<S: ArrivalSource>(
 struct Engine<'a> {
     cfg: &'a FleetConfig,
     queue: EventQueue,
-    policy: Box<dyn BatchPolicy>,
+    /// The queue, backoff parking, the retry / shed / batch rules and
+    /// the run's accumulators.
+    life: Lifecycle,
+    /// Admission caps and counts; its queued total always equals
+    /// `life.depth()` here, since an admitted request queues at once.
+    ledger: AdmissionLedger,
     scaler: Option<Box<dyn AutoscalePolicy>>,
     faults: Option<FaultModel>,
-    /// Backoff-jitter stream, decoupled from failure timing.
-    retry_rng: SplitMix64,
     chips: Vec<Chip>,
     provisioned: usize,
     pending_up: usize,
@@ -474,11 +447,6 @@ struct Engine<'a> {
     initial_online: usize,
     records: Vec<RequestRecord>,
     trace: Vec<TraceEntry>,
-    acc: RunAccumulators,
-    /// Requests sitting out a retry backoff, keyed by id.
-    parked: BTreeMap<u64, Request>,
-    /// Queued-request count per tenant (admission caps).
-    tenant_queued: BTreeMap<TenantId, usize>,
     /// The one arrival in flight; its body parks here until its event
     /// pops.
     pending: Option<Request>,
@@ -491,7 +459,7 @@ struct Engine<'a> {
 
 impl Engine<'_> {
     fn run<S: ArrivalSource>(
-        &mut self,
+        mut self,
         source: &mut S,
         cost: &mut CostModel,
     ) -> Result<SimReport, SimError> {
@@ -514,8 +482,8 @@ impl Engine<'_> {
 
         let mut last_time = 0.0;
         while let Some((now, event)) = self.queue.pop() {
-            self.acc.depth_time_integral += self.policy.depth() as f64 * (now - last_time);
-            self.acc.chip_time_integral_ms += self.provisioned as f64 * (now - last_time);
+            self.life.acc.depth_time_integral += self.life.depth() as f64 * (now - last_time);
+            self.life.acc.chip_time_integral_ms += self.provisioned as f64 * (now - last_time);
             last_time = now;
             if let Some(tl) = &mut self.timeline {
                 // Same op, same operands, same order as the integral
@@ -557,13 +525,13 @@ impl Engine<'_> {
                 }
             };
             if effectful {
-                self.acc.makespan_ms = now;
+                self.life.acc.makespan_ms = now;
             }
             self.shed_if_browned_out(now)?;
             self.dispatch(cost)?;
             if let Some(tl) = &mut self.timeline {
-                tl.sample_queue_depth(now, self.policy.depth());
-                tl.sample_retry_depth(now, self.parked.len());
+                tl.sample_queue_depth(now, self.life.depth());
+                tl.sample_retry_depth(now, self.life.parked());
             }
         }
 
@@ -574,19 +542,21 @@ impl Engine<'_> {
             if c.busy {
                 return Err(SimError::Invariant(format!("chip {i} still busy at drain")));
             }
-            self.acc.busy_ms[i] = c.busy_ms;
+            self.life.acc.busy_ms[i] = c.busy_ms;
         }
         if let Some(tl) = &mut self.timeline {
-            tl.finalize(self.acc.makespan_ms);
+            tl.finalize(self.life.acc.makespan_ms);
             // The timeline must never drift from the metrics it
             // explains: both sides replayed identical f64 op sequences,
             // so require bitwise equality, not closeness.
-            if tl.provisioned_integral_ms().to_bits() != self.acc.chip_time_integral_ms.to_bits() {
+            if tl.provisioned_integral_ms().to_bits()
+                != self.life.acc.chip_time_integral_ms.to_bits()
+            {
                 return Err(SimError::Invariant(
                     "timeline provisioned integral drifted from chip-time integral".into(),
                 ));
             }
-            for (i, &busy) in self.acc.busy_ms.iter().enumerate() {
+            for (i, &busy) in self.life.acc.busy_ms.iter().enumerate() {
                 if tl.busy_ms(i).to_bits() != busy.to_bits() {
                     return Err(SimError::Invariant(format!(
                         "timeline busy accumulator drifted from chip {i} busy_ms"
@@ -594,30 +564,13 @@ impl Engine<'_> {
                 }
             }
         }
-        if self.policy.depth() != 0 {
-            return Err(SimError::Invariant(
-                "requests stranded in queue at drain".into(),
-            ));
-        }
-        if !self.parked.is_empty() {
-            return Err(SimError::Invariant(
-                "requests stranded in backoff at drain".into(),
-            ));
-        }
-        if self.acc.arrivals
-            != self.records.len() as u64 + self.acc.rejected + self.acc.shed + self.acc.lost
-        {
-            return Err(SimError::Invariant(
-                "terminal outcomes do not conserve arrivals".into(),
-            ));
-        }
-        let trace_hash = hash_trace(&self.trace);
+        let acc = self.life.finish(&self.ledger, self.records.len() as u64)?;
         Ok(SimReport {
-            summary: try_summarize(&self.records, &self.acc, &self.cfg.tenant_weights)?,
-            records: std::mem::take(&mut self.records),
-            trace: std::mem::take(&mut self.trace),
-            trace_hash,
-            timeline: self.timeline.take(),
+            summary: try_summarize(&self.records, &acc, &self.cfg.tenant_weights)?,
+            records: self.records,
+            trace_hash: hash_trace(&self.trace),
+            trace: self.trace,
+            timeline: self.timeline,
         })
     }
 
@@ -648,34 +601,6 @@ impl Engine<'_> {
         }))
     }
 
-    /// Whether admission must refuse more work from `tenant`: its
-    /// per-tenant cap first, then the shared queue capacity.
-    fn admission_full(&self, tenant: TenantId) -> bool {
-        if let Some(cap) = self.cfg.tenant_cap(tenant) {
-            if self.tenant_queued.get(&tenant).copied().unwrap_or(0) >= cap {
-                return true;
-            }
-        }
-        self.cfg
-            .queue_capacity
-            .is_some_and(|cap| self.policy.depth() >= cap)
-    }
-
-    fn enqueue(&mut self, req: Request) {
-        *self.tenant_queued.entry(req.tenant).or_insert(0) += 1;
-        self.policy.push(req);
-        self.acc.max_queue_depth = self.acc.max_queue_depth.max(self.policy.depth());
-    }
-
-    fn note_dequeued(&mut self, req: &Request) -> Result<(), SimError> {
-        let n = self
-            .tenant_queued
-            .get_mut(&req.tenant)
-            .ok_or_else(|| SimError::Invariant("dequeued tenant was never queued".into()))?;
-        *n -= 1;
-        Ok(())
-    }
-
     fn on_arrival<S: ArrivalSource>(
         &mut self,
         id: u64,
@@ -691,105 +616,73 @@ impl Engine<'_> {
         // Pull the next arrival before admission so the event stream
         // ordering never depends on queue state.
         self.pending = self.prime(source, cost)?;
-        self.acc.arrivals += 1;
-        if self.admission_full(req.tenant) {
-            self.acc.rejected += 1;
-            *self.acc.rejected_by_tenant.entry(req.tenant).or_insert(0) += 1;
+        if self.ledger.arrive(req.tenant).is_err() {
             self.trace.push(TraceEntry::Rejected {
                 time_ms: now,
                 id: req.id,
                 tenant: req.tenant,
             });
-            if let Some(tl) = &mut self.timeline {
-                tl.admission(
-                    now,
-                    req.id,
-                    u64::from(req.tenant),
-                    AdmissionOutcome::Rejected,
-                );
-            }
+            self.note_admission(now, &req, AdmissionOutcome::Rejected);
         } else {
             self.trace.push(TraceEntry::Admitted {
                 time_ms: now,
                 id: req.id,
                 tenant: req.tenant,
             });
-            if let Some(tl) = &mut self.timeline {
-                tl.admission(
-                    now,
-                    req.id,
-                    u64::from(req.tenant),
-                    AdmissionOutcome::Admitted,
-                );
-            }
-            self.enqueue(req);
+            self.note_admission(now, &req, AdmissionOutcome::Admitted);
+            self.life.enqueue(req);
         }
         Ok(())
     }
 
-    /// Sends rescued work back through the retry policy, or drops it as
-    /// lost when the budget is spent (or no policy is configured).
-    fn route_retry_or_lost(&mut self, mut req: Request, now: f64) -> Result<(), SimError> {
-        match self.cfg.retry {
-            Some(p) if req.attempts < p.max_retries => {
-                req.attempts += 1;
-                self.acc.retries += 1;
-                let backoff = p.backoff_ms(req.attempts, &mut self.retry_rng);
+    fn note_admission(&mut self, now: f64, req: &Request, outcome: AdmissionOutcome) {
+        if let Some(tl) = &mut self.timeline {
+            tl.admission(now, req.id, u64::from(req.tenant), outcome);
+        }
+    }
+
+    /// Traces a rescue and schedules the wake of parked work.
+    fn note_rescue(&mut self, rescue: Rescue, now: f64) -> Result<(), SimError> {
+        match rescue {
+            Rescue::Parked { req, wake_ms } => {
                 self.trace.push(TraceEntry::Retried {
                     time_ms: now,
                     id: req.id,
                     attempt: req.attempts,
                 });
-                self.queue.try_push(now + backoff, Event::Retry(req.id))?;
-                self.parked.insert(req.id, req);
+                self.queue.try_push(wake_ms, Event::Retry(req.id))
             }
-            _ => {
-                self.acc.lost += 1;
-                *self.acc.lost_by_tenant.entry(req.tenant).or_insert(0) += 1;
+            Rescue::Lost(req) => {
                 self.trace.push(TraceEntry::Lost {
                     time_ms: now,
                     id: req.id,
                     tenant: req.tenant,
                 });
+                Ok(())
             }
         }
-        Ok(())
     }
 
     fn on_retry(&mut self, id: u64, now: f64, cost: &mut CostModel) -> Result<(), SimError> {
-        let mut req = self
-            .parked
-            .remove(&id)
-            .ok_or(SimError::UnknownRetry { id, time_ms: now })?;
-        if self.admission_full(req.tenant) {
-            // Re-admission refused: park again (another attempt) or
-            // lose. Rejection is terminal only for fresh arrivals.
-            if let Some(tl) = &mut self.timeline {
-                tl.admission(
-                    now,
-                    req.id,
-                    u64::from(req.tenant),
-                    AdmissionOutcome::RetryRejected,
-                );
+        let cfg = self.cfg;
+        let fresh_deadline = |r: &Request| {
+            now + cfg.deadline_slack_ms
+                + cfg.deadline_factor * cost.proof_ms(r.class.gate, r.class.mu)
+        };
+        match self
+            .life
+            .readmit(&mut self.ledger, id, now, fresh_deadline)?
+        {
+            Readmit::Admitted(req) => {
+                self.note_admission(now, &req, AdmissionOutcome::RetryAdmitted);
+                Ok(())
             }
-            self.route_retry_or_lost(req, now)?;
-        } else {
-            // A fresh deadline — the old one is already blown or at
-            // risk; latency still accrues from the original arrival.
-            req.deadline_ms = now
-                + self.cfg.deadline_slack_ms
-                + self.cfg.deadline_factor * cost.proof_ms(req.class.gate, req.class.mu);
-            if let Some(tl) = &mut self.timeline {
-                tl.admission(
-                    now,
-                    req.id,
-                    u64::from(req.tenant),
-                    AdmissionOutcome::RetryAdmitted,
-                );
+            Readmit::Refused(rescue) => {
+                let (Rescue::Parked { req, .. } | Rescue::Lost(req)) = rescue;
+                self.note_admission(now, &req, AdmissionOutcome::RetryRejected);
+                self.note_rescue(rescue, now)
             }
-            self.enqueue(req);
         }
-        Ok(())
     }
 
     fn on_batch_done(&mut self, chip: usize, epoch: u64, now: f64) {
@@ -802,19 +695,9 @@ impl Engine<'_> {
         let start = c.batch_start_ms;
         let batch = std::mem::take(&mut c.batch);
         c.busy = false;
-        for r in batch {
-            self.records.push(RequestRecord {
-                id: r.id,
-                tenant: r.tenant,
-                class: r.class,
-                arrival_ms: r.arrival_ms,
-                deadline_ms: r.deadline_ms,
-                start_ms: start,
-                finish_ms: now,
-                chip,
-                batch_size: size,
-                attempts: r.attempts,
-            });
+        for r in &batch {
+            self.records
+                .push(RequestRecord::served(r, chip, size, start, now));
         }
         self.trace.push(TraceEntry::Completed {
             time_ms: now,
@@ -832,7 +715,7 @@ impl Engine<'_> {
         c.state = ChipState::Up;
         c.avail_epoch += 1;
         self.pending_up -= 1;
-        self.acc.scale_ups += 1;
+        self.life.acc.scale_ups += 1;
         self.trace.push(TraceEntry::ChipUp { time_ms: now, chip });
         self.arm_failure(chip, now)
     }
@@ -844,7 +727,7 @@ impl Engine<'_> {
         c.state = ChipState::Off;
         c.avail_epoch += 1;
         self.provisioned -= 1;
-        self.acc.scale_downs += 1;
+        self.life.acc.scale_downs += 1;
         self.trace.push(TraceEntry::ChipDown { time_ms: now, chip });
     }
 
@@ -918,12 +801,13 @@ impl Engine<'_> {
             tl.begin_failed(chip, now);
         }
         self.provisioned -= 1;
-        self.acc.chip_failures += 1;
+        self.life.acc.chip_failures += 1;
         self.trace.push(TraceEntry::ChipFail { time_ms: now, chip });
         self.queue
             .try_push(repair_at, Event::ChipRepair { chip, epoch })?;
         for r in lost_batch {
-            self.route_retry_or_lost(r, now)?;
+            let rescue = self.life.rescue(r, now);
+            self.note_rescue(rescue, now)?;
         }
         Ok(())
     }
@@ -936,8 +820,8 @@ impl Engine<'_> {
         c.state = ChipState::Up;
         c.avail_epoch += 1;
         self.provisioned += 1;
-        self.acc.peak_chips = self.acc.peak_chips.max(self.provisioned);
-        self.acc.chip_repairs += 1;
+        self.life.acc.peak_chips = self.life.acc.peak_chips.max(self.provisioned);
+        self.life.acc.chip_repairs += 1;
         self.trace
             .push(TraceEntry::ChipRepair { time_ms: now, chip });
         if let Some(tl) = &mut self.timeline {
@@ -959,9 +843,9 @@ impl Engine<'_> {
     /// parked in retry backoff.
     fn work_remains(&self) -> bool {
         self.pending.is_some()
-            || self.policy.depth() > 0
+            || self.life.depth() > 0
             || self.pending_up > 0
-            || !self.parked.is_empty()
+            || self.life.parked() > 0
             || self.chips.iter().any(|c| c.busy)
     }
 
@@ -985,7 +869,7 @@ impl Engine<'_> {
             .count();
         let obs = ScaleObservation {
             now_ms: now,
-            queue_depth: self.policy.depth(),
+            queue_depth: self.life.depth(),
             online_chips: online,
             busy_chips: busy,
             pending_up: self.pending_up,
@@ -1040,7 +924,7 @@ impl Engine<'_> {
                         added += 1;
                     }
                 }
-                self.acc.peak_chips = self.acc.peak_chips.max(self.provisioned);
+                self.life.acc.peak_chips = self.life.acc.peak_chips.max(self.provisioned);
                 Ok(added > 0)
             }
             ScaleDecision::Down(want) => {
@@ -1071,28 +955,19 @@ impl Engine<'_> {
         }
     }
 
-    /// Brown-out: when surviving capacity is below the configured
-    /// fraction of the initial pool, trim the queue to what the
-    /// survivors can plausibly serve by shedding the latest-deadline
-    /// work. Shedding is terminal.
+    /// Brown-out ([`Lifecycle::shed`]) against the online share of the
+    /// initial pool.
     fn shed_if_browned_out(&mut self, now: f64) -> Result<(), SimError> {
-        let Some(b) = self.cfg.brown_out else {
+        // Runs after every event: do not count chips for a policy that
+        // does not exist.
+        if self.cfg.brown_out.is_none() {
             return Ok(());
-        };
+        }
         let online = self.online_count();
-        if (online as f64) >= b.capacity_threshold * self.initial_online as f64 {
-            return Ok(());
-        }
-        let target = b.max_queue_per_chip * online;
-        let depth = self.policy.depth();
-        if depth <= target {
-            return Ok(());
-        }
-        let victims = self.policy.drain_latest_deadline(depth - target);
+        let victims = self
+            .life
+            .shed(&mut self.ledger, online, self.initial_online)?;
         for v in victims {
-            self.note_dequeued(&v)?;
-            self.acc.shed += 1;
-            *self.acc.shed_by_tenant.entry(v.tenant).or_insert(0) += 1;
             self.trace.push(TraceEntry::Shed {
                 time_ms: now,
                 id: v.id,
@@ -1105,32 +980,19 @@ impl Engine<'_> {
     fn dispatch(&mut self, cost: &mut CostModel) -> Result<(), SimError> {
         let now = self.queue.now();
         loop {
-            if self.policy.depth() == 0 {
+            if self.life.depth() == 0 {
                 return Ok(());
             }
             let Some(chip_idx) = self.chips.iter().position(Chip::dispatchable) else {
                 return Ok(());
             };
-            let Some(batch) = self.policy.pop_batch(self.cfg.max_batch) else {
-                return Err(SimError::Invariant("depth > 0 implies a batch".into()));
+            let next = self.life.next_batch(&mut self.ledger, now)?;
+            for rescue in next.recycled {
+                self.note_rescue(rescue, now)?;
+            }
+            let Some((_, live)) = next.batch else {
+                return Ok(());
             };
-            for r in &batch {
-                self.note_dequeued(r)?;
-            }
-            // With a retry policy, deadline-expired work is caught here
-            // and recycled instead of burning chip time; without one
-            // (legacy) it is served late and counted as a miss.
-            let (live, expired): (Vec<Request>, Vec<Request>) = if self.cfg.retry.is_some() {
-                batch.into_iter().partition(|r| r.deadline_ms > now)
-            } else {
-                (batch, Vec::new())
-            };
-            for r in expired {
-                self.route_retry_or_lost(r, now)?;
-            }
-            if live.is_empty() {
-                continue;
-            }
             let service_ms: f64 = self.cfg.batch_overhead_ms
                 + live
                     .iter()
@@ -1153,7 +1015,6 @@ impl Engine<'_> {
                 tl.begin_busy(chip_idx, now, live.len(), service_ms);
             }
             c.batch = live;
-            self.acc.batches += 1;
             self.queue.try_push(
                 now + service_ms,
                 Event::BatchDone {

@@ -6,7 +6,7 @@
 //! breaking — comes back as a [`ServeError`] value, never a panic that
 //! takes the whole front-end down with one bad request.
 
-use zkphire_fleet::{MetricsError, SimError, TenantId};
+use zkphire_fleet::{MetricsError, Refusal, SimError, TenantId};
 
 use crate::codec::FrameError;
 
@@ -112,7 +112,17 @@ impl From<SimError> for ServeError {
     fn from(e: SimError) -> Self {
         match e {
             SimError::Metrics(m) => Self::Metrics(m),
+            SimError::Invariant(why) => Self::Invariant(why),
             other => Self::Invariant(other.to_string()),
+        }
+    }
+}
+
+impl From<Refusal> for ServeError {
+    fn from(refusal: Refusal) -> Self {
+        match refusal {
+            Refusal::TenantCap { tenant, cap } => Self::TenantCapExceeded { tenant, cap },
+            Refusal::QueueFull { capacity } => Self::QueueFull { capacity },
         }
     }
 }

@@ -7,16 +7,19 @@
 //!
 //! ```text
 //! submit() ──► admission ──► dispatcher ──► worker pool ──► ServeReport
-//!              (per-tenant    (BatchPolicy,  (prove +        (same
-//!               caps, queue    RetryPolicy   verify per      summarizer
-//!               capacity)      backoff,      request, real   as the DES)
-//!                              brown-out)    wall clock)
+//!              (Admission-    (Lifecycle:    (prove +        (same
+//!               Ledger:        queue, retry   verify per      summarizer
+//!               tenant caps,   backoff,       request, real   as the DES)
+//!               capacity)      brown-out)     wall clock)
 //! ```
 //!
-//! Every policy object is shared with the simulator — the same
-//! [`zkphire_fleet::PolicyKind`] batching, [`zkphire_fleet::RetryPolicy`]
-//! backoff, [`zkphire_fleet::BrownOutConfig`] shedding, and per-tenant
-//! caps — and both sides reduce the same
+//! The policy is not shared by imitation: admission, queueing, retry
+//! backoff, re-admission, brown-out shedding and batch selection are
+//! calls into the simulator's own rules module
+//! ([`zkphire_fleet::lifecycle`]: [`zkphire_fleet::AdmissionLedger`],
+//! [`zkphire_fleet::Lifecycle`]), configured by the same
+//! [`zkphire_fleet::PolicyKind`], [`zkphire_fleet::RetryPolicy`] and
+//! [`zkphire_fleet::BrownOutConfig`] values, and both sides reduce the same
 //! [`zkphire_fleet::RequestRecord`]s through the same summarizer. Replay
 //! one arrival trace through both ([`loadgen::replay`] live,
 //! [`zkphire_fleet::simulate`] modeled) and the per-tenant latency

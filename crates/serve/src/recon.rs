@@ -104,24 +104,10 @@ mod tests {
     fn empty_acc(workers: usize, makespan_ms: f64) -> RunAccumulators {
         RunAccumulators {
             busy_ms: vec![0.0; workers],
-            depth_time_integral: 0.0,
-            max_queue_depth: 0,
-            batches: 0,
-            arrivals: 0,
-            rejected: 0,
-            rejected_by_tenant: Default::default(),
-            shed: 0,
-            shed_by_tenant: Default::default(),
-            lost: 0,
-            lost_by_tenant: Default::default(),
-            retries: 0,
-            chip_failures: 0,
-            chip_repairs: 0,
             makespan_ms,
             chip_time_integral_ms: workers as f64 * makespan_ms,
             peak_chips: workers,
-            scale_ups: 0,
-            scale_downs: 0,
+            ..Default::default()
         }
     }
 

@@ -9,21 +9,24 @@
 //! ```text
 //! submit() ──► admission ──► ctrl channel ──► dispatcher ──► workers
 //! (callers)    (Mutex:        (mpsc)          (owns the      (one thread
-//!              caps, queue                     BatchPolicy,   per "chip";
-//!              capacity,                       retry parking, prove +
-//!              shutdown                        brown-out,     verify per
-//!              gate)                           repair timers) request)
+//!              Admission-                      Lifecycle,     per "chip";
+//!              Ledger,                         worker state,  prove +
+//!              shutdown                        repair timers) verify per
+//!              gate)                                          request)
 //! ```
 //!
 //! Admission decisions are taken synchronously under one mutex, so
 //! per-tenant caps are exact — a flood of concurrent submissions cannot
-//! race past its cap. Everything after admission is asynchronous: the
-//! dispatcher owns the same [`BatchPolicy`] objects the simulator
-//! batches with, routes failures through the same [`RetryPolicy`]
-//! backoff, sheds with the same [`BrownOutConfig`] rule, and the
+//! race past its cap. Everything after admission is asynchronous, and
+//! none of its policy is written here: `submit` calls the simulator's
+//! [`AdmissionLedger`], the dispatcher calls the simulator's
+//! [`Lifecycle`] for queueing, retry backoff, re-admission, brown-out
+//! shedding and batch selection (`zkphire_fleet::lifecycle`), and the
 //! workers report the same [`RequestRecord`]s the DES emits — so one
 //! [`try_summarize`] call produces wall-clock per-tenant quantiles
-//! directly comparable to a simulation of the same trace.
+//! directly comparable to a simulation of the same trace. What this
+//! file owns is what the DES has no use for: threads, channels, the
+//! wall clock, worker repair, and the wall-event / outcome streams.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,9 +38,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkphire_fleet::{
-    resolve_tenant_cap, try_summarize, BatchPolicy, BrownOutConfig, FleetSummary, Outcome,
-    OutcomeRecord, PolicyKind, Request, RequestClass, RequestRecord, RetryPolicy, RunAccumulators,
-    SplitMix64, TenantId,
+    try_summarize, AdmissionLedger, BrownOutConfig, FleetSummary, Lifecycle, Outcome,
+    OutcomeRecord, PolicyKind, Readmit, Request, RequestClass, RequestRecord, Rescue, RetryPolicy,
+    RunAccumulators, TenantId,
 };
 use zkphire_hyperplonk::{
     prove_with_config, setup_with_threads, verify, Circuit, GateSystem, ProverConfig, ProvingKey,
@@ -195,12 +198,6 @@ impl ServeConfig {
         self.outcome_tx = Some(tx);
         self
     }
-
-    /// The queued-request cap admission enforces for `tenant` — the
-    /// simulator's rule ([`resolve_tenant_cap`]).
-    pub fn tenant_cap(&self, tenant: TenantId) -> Option<usize> {
-        resolve_tenant_cap(&self.tenant_caps, self.default_tenant_cap, tenant)
-    }
 }
 
 /// Everything one service run produces, in the same shape as the DES's
@@ -240,11 +237,9 @@ struct ClassAssets {
 /// concurrent submission.
 struct Admission {
     accepting: bool,
-    queued_total: usize,
-    queued_by_tenant: BTreeMap<TenantId, usize>,
-    arrivals: u64,
-    rejected: u64,
-    rejected_by_tenant: BTreeMap<TenantId, u64>,
+    /// Holds a slot from `submit` on, so it also counts jobs still in
+    /// the control channel.
+    ledger: AdmissionLedger,
 }
 
 /// State shared between submitters, the dispatcher, and shutdown.
@@ -323,22 +318,12 @@ struct WorkerHandle {
     busy_ms: f64,
 }
 
-/// What the dispatcher thread hands back at drain.
+/// What the dispatcher thread hands back at drain, beside its
+/// [`Lifecycle`].
 struct DispatcherOut {
     records: Vec<RequestRecord>,
-    busy_ms: Vec<f64>,
-    depth_time_integral: f64,
-    max_queue_depth: usize,
-    batches: u64,
-    retries: u64,
-    lost: u64,
-    lost_by_tenant: BTreeMap<TenantId, u64>,
-    shed: u64,
-    shed_by_tenant: BTreeMap<TenantId, u64>,
-    chip_failures: u64,
-    chip_repairs: u64,
-    makespan_ms: f64,
-    invariant: Option<String>,
+    /// The first invariant that broke, if any.
+    invariant: Option<ServeError>,
     dispatch_wakeup_us: Histogram,
 }
 
@@ -349,7 +334,7 @@ struct DispatcherOut {
 pub struct ProvingService {
     inner: Arc<Inner>,
     ctrl_tx: Sender<Ctrl>,
-    dispatcher: JoinHandle<DispatcherOut>,
+    dispatcher: JoinHandle<(Lifecycle, DispatcherOut)>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -424,11 +409,11 @@ impl ProvingService {
         let inner = Arc::new(Inner {
             admission: Mutex::new(Admission {
                 accepting: true,
-                queued_total: 0,
-                queued_by_tenant: BTreeMap::new(),
-                arrivals: 0,
-                rejected: 0,
-                rejected_by_tenant: BTreeMap::new(),
+                ledger: AdmissionLedger::new(
+                    &cfg.tenant_caps,
+                    cfg.default_tenant_cap,
+                    cfg.opts.queue_capacity,
+                ),
             }),
             next_id: AtomicU64::new(0),
             started: Instant::now(),
@@ -524,7 +509,7 @@ impl ProvingService {
     pub fn queue_depth(&self) -> usize {
         self.inner
             .lock_admission()
-            .map(|adm| adm.queued_total)
+            .map(|adm| adm.ledger.queued())
             .unwrap_or(0)
     }
 
@@ -560,9 +545,10 @@ impl ProvingService {
     }
 
     /// Submits one proof request. Admission runs synchronously under
-    /// the service mutex (per-tenant cap first, then the shared queue
-    /// capacity — the simulator's rule order); accepted requests return
-    /// their id immediately and complete asynchronously.
+    /// the service mutex and is the simulator's own rule
+    /// ([`AdmissionLedger::arrive`]: per-tenant cap first, then the
+    /// shared queue capacity); accepted requests return their id
+    /// immediately and complete asynchronously.
     ///
     /// # Errors
     ///
@@ -579,31 +565,15 @@ impl ProvingService {
             if !adm.accepting {
                 return Err(ServeError::ShuttingDown);
             }
-            adm.arrivals += 1;
             // Ids are assigned to *every* arrival, rejected ones
             // included — the DES numbers arrivals the same way, so the
             // two sides agree on which id each trace entry got.
             let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-            if let Some(cap) = self.inner.cfg.tenant_cap(tenant) {
-                if adm.queued_by_tenant.get(&tenant).copied().unwrap_or(0) >= cap {
-                    adm.rejected += 1;
-                    *adm.rejected_by_tenant.entry(tenant).or_insert(0) += 1;
-                    drop(adm);
-                    self.note_rejection(id, class, tenant);
-                    return Err(ServeError::TenantCapExceeded { tenant, cap });
-                }
+            if let Err(refusal) = adm.ledger.arrive(tenant) {
+                drop(adm);
+                self.note_rejection(id, class, tenant);
+                return Err(refusal.into());
             }
-            if let Some(capacity) = self.inner.cfg.opts.queue_capacity {
-                if adm.queued_total >= capacity {
-                    adm.rejected += 1;
-                    *adm.rejected_by_tenant.entry(tenant).or_insert(0) += 1;
-                    drop(adm);
-                    self.note_rejection(id, class, tenant);
-                    return Err(ServeError::QueueFull { capacity });
-                }
-            }
-            adm.queued_total += 1;
-            *adm.queued_by_tenant.entry(tenant).or_insert(0) += 1;
             let now = self.inner.now_ms();
             Request {
                 id,
@@ -637,14 +607,16 @@ impl ProvingService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Invariant`] if a thread died or a proof failed
-    /// verification mid-run; [`ServeError::Metrics`] if summarization
-    /// rejects the latency sample.
+    /// [`ServeError::Invariant`] if a thread died, a proof failed
+    /// verification mid-run, work is stranded in the queue or in
+    /// backoff, or the terminal outcomes do not add up to the arrivals
+    /// ([`Lifecycle::finish`]); [`ServeError::Metrics`] if
+    /// summarization rejects the latency sample.
     pub fn shutdown(self) -> Result<ServeReport, ServeError> {
         self.inner.lock_admission()?.accepting = false;
         // A dead dispatcher is reported by join below, not the send.
         let _ = self.ctrl_tx.send(Ctrl::Shutdown);
-        let out = self
+        let (life, out) = self
             .dispatcher
             .join()
             .map_err(|_| ServeError::Invariant("dispatcher thread panicked".into()))?;
@@ -652,32 +624,11 @@ impl ProvingService {
             h.join()
                 .map_err(|_| ServeError::Invariant(format!("worker {w} thread panicked")))?;
         }
-        if let Some(why) = out.invariant {
-            return Err(ServeError::Invariant(why));
+        if let Some(broken) = out.invariant {
+            return Err(broken);
         }
-        let adm = self.inner.lock_admission()?;
-        let workers = self.inner.cfg.opts.workers;
-        let acc = RunAccumulators {
-            busy_ms: out.busy_ms,
-            depth_time_integral: out.depth_time_integral,
-            max_queue_depth: out.max_queue_depth,
-            batches: out.batches,
-            arrivals: adm.arrivals,
-            rejected: adm.rejected,
-            rejected_by_tenant: adm.rejected_by_tenant.clone(),
-            shed: out.shed,
-            shed_by_tenant: out.shed_by_tenant,
-            lost: out.lost,
-            lost_by_tenant: out.lost_by_tenant,
-            retries: out.retries,
-            chip_failures: out.chip_failures,
-            chip_repairs: out.chip_repairs,
-            makespan_ms: out.makespan_ms,
-            chip_time_integral_ms: workers as f64 * out.makespan_ms,
-            peak_chips: workers,
-            scale_ups: 0,
-            scale_downs: 0,
-        };
+        let completed = out.records.len() as u64;
+        let acc = life.finish(&self.inner.lock_admission()?.ledger, completed)?;
         let summary = try_summarize(&out.records, &acc, &self.inner.cfg.tenant_weights)?;
         Ok(ServeReport {
             summary,
@@ -791,18 +742,7 @@ fn worker_loop(
         let finish = inner.now_ms();
         let records = reqs
             .iter()
-            .map(|r| RequestRecord {
-                id: r.id,
-                tenant: r.tenant,
-                class: r.class,
-                arrival_ms: r.arrival_ms,
-                deadline_ms: r.deadline_ms,
-                start_ms: start,
-                finish_ms: finish,
-                chip: idx,
-                batch_size: size,
-                attempts: r.attempts,
-            })
+            .map(|r| RequestRecord::served(r, idx, size, start, finish))
             .collect();
         if ctrl
             .send(Ctrl::Done {
@@ -819,11 +759,10 @@ fn worker_loop(
 /// Dispatcher state while draining the control channel.
 struct Dispatcher<'a> {
     inner: &'a Inner,
-    policy: Box<dyn BatchPolicy + Send>,
+    /// The queue, backoff parking, every retry / shed / batch rule and
+    /// the run's accumulators — the simulator's, not a copy.
+    life: Lifecycle,
     workers: Vec<WorkerHandle>,
-    /// Requests sitting out a retry backoff: id → (request, wake ms).
-    parked: BTreeMap<u64, (Request, f64)>,
-    retry_rng: SplitMix64,
     out: DispatcherOut,
     draining: bool,
     last_tick_ms: f64,
@@ -833,18 +772,29 @@ struct Dispatcher<'a> {
     last_in_flight: usize,
 }
 
-/// The dispatcher thread: owns the batching queue and the worker pool's
-/// dispatch state; every decision the DES engine takes per event, this
+/// The dispatcher thread: owns the [`Lifecycle`] and the worker pool's
+/// dispatch state; every step the DES engine takes per event, this
 /// loop takes per control message or timer expiry.
 fn dispatcher_loop(
     inner: &Inner,
     rx: &Receiver<Ctrl>,
     worker_txs: Vec<Sender<Work>>,
-) -> DispatcherOut {
+) -> (Lifecycle, DispatcherOut) {
     let n_workers = worker_txs.len();
     let mut d = Dispatcher {
         inner,
-        policy: inner.cfg.policy.build_with(&inner.cfg.tenant_weights),
+        life: Lifecycle::new(
+            inner.cfg.policy.build_with(&inner.cfg.tenant_weights),
+            inner.cfg.opts.max_batch,
+            inner.cfg.retry,
+            inner.cfg.brown_out,
+            inner.cfg.seed,
+            RunAccumulators {
+                busy_ms: vec![0.0; n_workers],
+                peak_chips: n_workers,
+                ..Default::default()
+            },
+        ),
         workers: worker_txs
             .into_iter()
             .map(|tx| WorkerHandle {
@@ -853,22 +803,8 @@ fn dispatcher_loop(
                 busy_ms: 0.0,
             })
             .collect(),
-        parked: BTreeMap::new(),
-        retry_rng: RetryPolicy::jitter_stream(inner.cfg.seed),
         out: DispatcherOut {
             records: Vec::new(),
-            busy_ms: vec![0.0; n_workers],
-            depth_time_integral: 0.0,
-            max_queue_depth: 0,
-            batches: 0,
-            retries: 0,
-            lost: 0,
-            lost_by_tenant: BTreeMap::new(),
-            shed: 0,
-            shed_by_tenant: BTreeMap::new(),
-            chip_failures: 0,
-            chip_repairs: 0,
-            makespan_ms: 0.0,
             invariant: None,
             dispatch_wakeup_us: Histogram::default(),
         },
@@ -922,8 +858,7 @@ fn dispatcher_loop(
                     d.out
                         .dispatch_wakeup_us
                         .record(((t - req.arrival_ms).max(0.0) * 1e3) as u64);
-                    d.policy.push(req);
-                    d.out.max_queue_depth = d.out.max_queue_depth.max(d.policy.depth());
+                    d.life.enqueue(req);
                     true
                 }
                 Ctrl::Done { worker, records } => d.on_done(worker, records),
@@ -946,12 +881,12 @@ fn dispatcher_loop(
             pending = rx.try_recv().ok();
         }
         if effectful {
-            d.out.makespan_ms = d.out.makespan_ms.max(now);
+            d.life.acc.makespan_ms = d.life.acc.makespan_ms.max(now);
         }
         d.repair_workers(now);
-        d.wake_parked(now);
-        d.shed_if_browned_out(now);
-        d.try_dispatch(now);
+        if let Err(broken) = d.step(now) {
+            d.out.invariant.get_or_insert(broken);
+        }
         d.sample_series();
         if d.draining && d.drained() {
             break;
@@ -961,9 +896,10 @@ fn dispatcher_loop(
         let _ = w.tx.send(Work::Stop);
     }
     for (i, w) in d.workers.iter().enumerate() {
-        d.out.busy_ms[i] = w.busy_ms;
+        d.life.acc.busy_ms[i] = w.busy_ms;
     }
-    d.out
+    d.life.acc.chip_time_integral_ms = n_workers as f64 * d.life.acc.makespan_ms;
+    (d.life, d.out)
 }
 
 impl Dispatcher<'_> {
@@ -974,10 +910,7 @@ impl Dispatcher<'_> {
     /// is needed.
     fn next_timeout(&self) -> Option<Duration> {
         let now = self.inner.now_ms();
-        let mut next: Option<f64> = None;
-        for (_, wake) in self.parked.values() {
-            next = Some(next.map_or(*wake, |n: f64| n.min(*wake)));
-        }
+        let mut next = self.life.next_wake_ms();
         for w in &self.workers {
             if let WorkerStatus::Repairing { until_ms } = w.status {
                 next = Some(next.map_or(until_ms, |n: f64| n.min(until_ms)));
@@ -990,14 +923,12 @@ impl Dispatcher<'_> {
     }
 
     fn tick(&mut self, now: f64) {
-        self.out.depth_time_integral += self.policy.depth() as f64 * (now - self.last_tick_ms);
+        self.life.acc.depth_time_integral += self.life.depth() as f64 * (now - self.last_tick_ms);
         self.last_tick_ms = now;
     }
 
     fn note_invariant(&mut self, why: String) {
-        if self.out.invariant.is_none() {
-            self.out.invariant = Some(why);
-        }
+        self.out.invariant.get_or_insert(ServeError::Invariant(why));
     }
 
     fn on_done(&mut self, worker: usize, records: Vec<RequestRecord>) -> bool {
@@ -1019,7 +950,7 @@ impl Dispatcher<'_> {
                 last.finish_ms,
             );
             w.busy_ms += last.finish_ms - first.start_ms;
-            self.out.makespan_ms = self.out.makespan_ms.max(last.finish_ms);
+            self.life.acc.makespan_ms = self.life.acc.makespan_ms.max(last.finish_ms);
         }
         for r in &records {
             wall_event(
@@ -1052,7 +983,7 @@ impl Dispatcher<'_> {
         w.status = WorkerStatus::Repairing {
             until_ms: now + self.inner.cfg.repair_ms,
         };
-        self.out.chip_failures += 1;
+        self.life.acc.chip_failures += 1;
         wall_event(
             WallEventKind::WorkerRepairBegin,
             0,
@@ -1062,7 +993,8 @@ impl Dispatcher<'_> {
             now + self.inner.cfg.repair_ms,
         );
         for r in batch {
-            self.route_retry_or_lost(r, now);
+            let rescue = self.life.rescue(r, now);
+            self.note_rescue(rescue, now);
         }
         true
     }
@@ -1072,34 +1004,25 @@ impl Dispatcher<'_> {
             if let WorkerStatus::Repairing { until_ms } = w.status {
                 if until_ms <= now {
                     w.status = WorkerStatus::Idle;
-                    self.out.chip_repairs += 1;
+                    self.life.acc.chip_repairs += 1;
                     wall_event(WallEventKind::WorkerRepairEnd, 0, 0, i as u64, now, 0.0);
                 }
             }
         }
     }
 
-    /// Same routing rule as the DES engine: another backoff while the
-    /// budget lasts, lost for good after.
-    fn route_retry_or_lost(&mut self, mut req: Request, now: f64) {
-        match self.inner.cfg.retry {
-            Some(p) if req.attempts < p.max_retries => {
-                req.attempts += 1;
-                self.out.retries += 1;
-                let backoff = p.backoff_ms(req.attempts, &mut self.retry_rng);
-                wall_event(
-                    WallEventKind::RetryParked,
-                    req.id,
-                    u64::from(req.tenant),
-                    u64::from(req.attempts),
-                    now + backoff,
-                    0.0,
-                );
-                self.parked.insert(req.id, (req, now + backoff));
-            }
-            _ => {
-                self.out.lost += 1;
-                *self.out.lost_by_tenant.entry(req.tenant).or_insert(0) += 1;
+    /// Emits what a rescue came to: a wake time, or the terminal loss.
+    fn note_rescue(&mut self, rescue: Rescue, now: f64) {
+        match rescue {
+            Rescue::Parked { req, wake_ms } => wall_event(
+                WallEventKind::RetryParked,
+                req.id,
+                u64::from(req.tenant),
+                u64::from(req.attempts),
+                wake_ms,
+                0.0,
+            ),
+            Rescue::Lost(req) => {
                 wall_event(
                     WallEventKind::Lost,
                     req.id,
@@ -1108,131 +1031,80 @@ impl Dispatcher<'_> {
                     now,
                     0.0,
                 );
-                self.inner.stream_outcome(OutcomeRecord {
-                    id: req.id,
-                    tenant: req.tenant,
-                    class: req.class,
-                    outcome: Outcome::Lost,
-                    t_ms: now,
-                    latency_ms: 0.0,
-                    attempts: req.attempts,
-                });
+                let lost = OutcomeRecord::unserved(&req, Outcome::Lost, now);
+                self.inner.stream_outcome(lost);
             }
         }
     }
 
-    /// Re-admits parked requests whose backoff expired — via the same
-    /// cap checks as fresh submissions (re-rejection parks again or
-    /// loses; it is not terminal, mirroring the sim's retry path).
-    fn wake_parked(&mut self, now: f64) {
-        let due: Vec<u64> = self
-            .parked
-            .iter()
-            .filter(|(_, (_, wake))| *wake <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            let Some((mut req, _)) = self.parked.remove(&id) else {
-                continue;
+    /// One round of the lifecycle after the control burst: re-admit
+    /// what is due, shed under brown-out, dispatch onto idle workers.
+    /// Each rule is a [`Lifecycle`] call under the admission lock; the
+    /// events go out after the lock is dropped.
+    fn step(&mut self, now: f64) -> Result<(), ServeError> {
+        self.wake_parked(now)?;
+        self.shed_if_browned_out(now)?;
+        self.try_dispatch(now)
+    }
+
+    /// Re-admits parked requests whose backoff expired
+    /// ([`Lifecycle::readmit`]).
+    fn wake_parked(&mut self, now: f64) -> Result<(), ServeError> {
+        let inner = self.inner;
+        for id in self.life.due(now) {
+            let fresh_deadline = |r: &Request| {
+                let base = inner.expected_ms.get(&r.class).copied().unwrap_or(0.0);
+                now + inner.cfg.deadline_slack_ms + inner.cfg.deadline_factor * base
             };
-            let admitted = {
-                let Ok(mut adm) = self.inner.admission.lock() else {
-                    self.note_invariant("admission lock poisoned".into());
-                    return;
-                };
-                let tenant_full = self.inner.cfg.tenant_cap(req.tenant).is_some_and(|cap| {
-                    adm.queued_by_tenant.get(&req.tenant).copied().unwrap_or(0) >= cap
-                });
-                let queue_full = self
-                    .inner
-                    .cfg
-                    .opts
-                    .queue_capacity
-                    .is_some_and(|cap| adm.queued_total >= cap);
-                if tenant_full || queue_full {
-                    false
-                } else {
-                    adm.queued_total += 1;
-                    *adm.queued_by_tenant.entry(req.tenant).or_insert(0) += 1;
-                    true
-                }
+            let readmit = {
+                let mut adm = inner.lock_admission()?;
+                self.life
+                    .readmit(&mut adm.ledger, id, now, fresh_deadline)?
             };
-            if admitted {
-                wall_event(
+            match readmit {
+                Readmit::Admitted(req) => wall_event(
                     WallEventKind::RetryAdmitted,
                     req.id,
                     u64::from(req.tenant),
                     u64::from(req.attempts),
                     now,
                     0.0,
-                );
-                let base = self
-                    .inner
-                    .expected_ms
-                    .get(&req.class)
-                    .copied()
-                    .unwrap_or(0.0);
-                req.deadline_ms =
-                    now + self.inner.cfg.deadline_slack_ms + self.inner.cfg.deadline_factor * base;
-                self.policy.push(req);
-                self.out.max_queue_depth = self.out.max_queue_depth.max(self.policy.depth());
-            } else {
-                wall_event(
-                    WallEventKind::RetryRejected,
-                    req.id,
-                    u64::from(req.tenant),
-                    u64::from(req.attempts),
-                    now,
-                    0.0,
-                );
-                self.route_retry_or_lost(req, now);
+                ),
+                Readmit::Refused(rescue) => {
+                    let (Rescue::Parked { req, .. } | Rescue::Lost(req)) = rescue;
+                    wall_event(
+                        WallEventKind::RetryRejected,
+                        req.id,
+                        u64::from(req.tenant),
+                        u64::from(req.attempts),
+                        now,
+                        0.0,
+                    );
+                    self.note_rescue(rescue, now);
+                }
             }
         }
+        Ok(())
     }
 
-    /// Decrements the admission-side queue accounting for a request
-    /// leaving the dispatcher's queue (dispatched or shed).
-    fn note_dequeued(&mut self, req: &Request) {
-        let Ok(mut adm) = self.inner.admission.lock() else {
-            self.note_invariant("admission lock poisoned".into());
-            return;
-        };
-        adm.queued_total = adm.queued_total.saturating_sub(1);
-        match adm.queued_by_tenant.get_mut(&req.tenant) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => {
-                drop(adm);
-                self.note_invariant("dequeued tenant was never queued".into());
-            }
+    /// Brown-out ([`Lifecycle::shed`]) against the share of workers not
+    /// in repair.
+    fn shed_if_browned_out(&mut self, now: f64) -> Result<(), ServeError> {
+        if self.inner.cfg.brown_out.is_none() {
+            return Ok(());
         }
-    }
-
-    /// Same shedding rule as the DES: when surviving capacity drops
-    /// below the threshold fraction of the pool, trim the queue to what
-    /// the survivors can hold by sacrificing latest-deadline work.
-    fn shed_if_browned_out(&mut self, now: f64) {
-        let Some(b) = self.inner.cfg.brown_out else {
-            return;
-        };
         let healthy = self
             .workers
             .iter()
             .filter(|w| !matches!(w.status, WorkerStatus::Repairing { .. }))
             .count();
-        if (healthy as f64) >= b.capacity_threshold * self.workers.len() as f64 {
-            return;
-        }
-        let target = b.max_queue_per_chip * healthy;
-        let depth = self.policy.depth();
-        if depth <= target {
-            return;
-        }
-        let victims = self.policy.drain_latest_deadline(depth - target);
+        let victims = {
+            let mut adm = self.inner.lock_admission()?;
+            self.life
+                .shed(&mut adm.ledger, healthy, self.workers.len())?
+        };
         for v in victims {
-            self.note_dequeued(&v);
-            self.out.shed += 1;
-            *self.out.shed_by_tenant.entry(v.tenant).or_insert(0) += 1;
-            self.out.makespan_ms = self.out.makespan_ms.max(now);
+            self.life.acc.makespan_ms = self.life.acc.makespan_ms.max(now);
             wall_event(
                 WallEventKind::Shed,
                 v.id,
@@ -1241,55 +1113,38 @@ impl Dispatcher<'_> {
                 now,
                 0.0,
             );
-            self.inner.stream_outcome(OutcomeRecord {
-                id: v.id,
-                tenant: v.tenant,
-                class: v.class,
-                outcome: Outcome::Shed,
-                t_ms: now,
-                latency_ms: 0.0,
-                attempts: v.attempts,
-            });
+            let shed = OutcomeRecord::unserved(&v, Outcome::Shed, now);
+            self.inner.stream_outcome(shed);
         }
+        Ok(())
     }
 
-    fn try_dispatch(&mut self, now: f64) {
+    fn try_dispatch(&mut self, now: f64) -> Result<(), ServeError> {
         loop {
-            if self.policy.depth() == 0 {
-                return;
+            if self.life.depth() == 0 {
+                return Ok(());
             }
             let Some(idx) = self
                 .workers
                 .iter()
                 .position(|w| w.status == WorkerStatus::Idle)
             else {
-                return;
+                return Ok(());
             };
-            let Some(batch) = self.policy.pop_batch(self.inner.cfg.opts.max_batch) else {
-                self.note_invariant("depth > 0 implies a batch".into());
-                return;
+            let next = {
+                let mut adm = self.inner.lock_admission()?;
+                self.life.next_batch(&mut adm.ledger, now)?
             };
-            for r in &batch {
-                self.note_dequeued(r);
+            for rescue in next.recycled {
+                self.note_rescue(rescue, now);
             }
-            // Deadline-expired work is recycled at dispatch when a
-            // retry policy exists — chip time is too expensive to burn
-            // on work already late (same rule as the DES).
-            let (live, expired): (Vec<Request>, Vec<Request>) = if self.inner.cfg.retry.is_some() {
-                batch.into_iter().partition(|r| r.deadline_ms > now)
-            } else {
-                (batch, Vec::new())
+            let Some((seq, live)) = next.batch else {
+                return Ok(());
             };
-            for r in expired {
-                self.route_retry_or_lost(r, now);
-            }
-            if live.is_empty() {
-                continue;
-            }
-            let inject_failure = self.inner.cfg.fail_batches.contains(&self.out.batches);
-            self.out.batches += 1;
+            // `fail_batches` scripts failures by dispatch number.
+            let inject_failure = self.inner.cfg.fail_batches.contains(&seq);
             let Some(w) = self.workers.get_mut(idx) else {
-                return;
+                return Ok(());
             };
             w.status = WorkerStatus::Busy;
             for r in &live {
@@ -1310,8 +1165,7 @@ impl Dispatcher<'_> {
                 .is_err()
             {
                 w.status = WorkerStatus::Repairing { until_ms: f64::MAX };
-                self.note_invariant(format!("worker {idx} hung up"));
-                return;
+                return Err(ServeError::Invariant(format!("worker {idx} hung up")));
             }
         }
     }
@@ -1320,7 +1174,7 @@ impl Dispatcher<'_> {
     /// timeline — on change only, so a quiet heartbeat loop records
     /// nothing.
     fn sample_series(&mut self) {
-        let depth = self.policy.depth();
+        let depth = self.life.depth();
         if depth != self.last_depth {
             self.last_depth = depth;
             wall_event(WallEventKind::QueueDepth, 0, 0, depth as u64, 0.0, 0.0);
@@ -1339,8 +1193,8 @@ impl Dispatcher<'_> {
     /// Whether every admitted request reached a terminal outcome: the
     /// queue is empty, nothing waits in backoff, no worker is proving.
     fn drained(&self) -> bool {
-        self.policy.depth() == 0
-            && self.parked.is_empty()
+        self.life.depth() == 0
+            && self.life.parked() == 0
             && !self.workers.iter().any(|w| w.status == WorkerStatus::Busy)
     }
 }

@@ -1,10 +1,14 @@
 //! Integration tests for the live proving service (`zkphire-serve`):
 //! graceful drain, admission agreement with the DES on a shared trace,
-//! and retry-after-failure through a real prover.
+//! retry-after-failure through a real prover, and brown-out shedding
+//! while the only worker is in repair.
 
 use zkphire_core::costdb::CostModel;
 use zkphire_core::protocol::Gate;
-use zkphire_fleet::{simulate, FleetConfig, PolicyKind, RequestClass, RetryPolicy, TraceSource};
+use zkphire_fleet::{
+    simulate, BrownOutConfig, FleetConfig, Outcome, PolicyKind, RequestClass, RetryPolicy,
+    TraceSource,
+};
 use zkphire_serve::{replay, ProvingService, ServeConfig, ServeError, ServeOpts};
 
 fn tiny_class() -> RequestClass {
@@ -166,6 +170,36 @@ fn injected_failure_without_retry_is_lost_not_hung() {
     );
     assert!(report.summary.lost >= 1, "the failed batch is lost");
     assert_eq!(report.summary.chip_failures, 1);
+}
+
+/// Brown-out on the live side: the only worker fails on its first
+/// batch and stays in repair for 200 ms, so surviving capacity is 0 of
+/// 1 and, at zero queue per survivor, everything still queued is shed —
+/// terminally, and streamed as it happens.
+#[test]
+fn brown_out_sheds_the_queue_while_the_only_worker_is_in_repair() {
+    let class = tiny_class();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut cfg = ServeConfig::new(vec![class])
+        .with_brown_out(BrownOutConfig::new(1.0, 0))
+        .with_fail_batches(vec![0])
+        .with_outcome_stream(tx)
+        .with_seed(47)
+        .with_opts(tiny_opts().with_workers(1).with_max_batch(1));
+    cfg.repair_ms = 200.0;
+    let service = ProvingService::start(cfg).expect("startup");
+    for _ in 0..6 {
+        service.submit(class, 0).expect("unbounded admission");
+    }
+    let report = service.shutdown().expect("clean drain");
+    let s = &report.summary;
+    assert_eq!(s.chip_failures, 1);
+    assert_eq!(s.lost, 1, "no retry policy: the failed batch is lost");
+    assert!(s.shed >= 1, "nothing shed with 0 of 1 workers healthy");
+    assert_eq!(s.completed + s.shed + s.lost, 6);
+    // `shutdown` dropped every sender, so the stream ends.
+    let streamed_shed = rx.iter().filter(|o| o.outcome == Outcome::Shed).count() as u64;
+    assert_eq!(streamed_shed, s.shed);
 }
 
 /// Submissions after shutdown began are refused with a typed error and
