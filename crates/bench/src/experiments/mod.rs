@@ -28,9 +28,9 @@ type Experiment = fn(&[String]) -> String;
 
 /// Every experiment in paper order, then the post-paper extensions:
 /// the one table [`ALL`], `repro list` and [`run_with_args`] read.
-/// (`obs` consumes `--out-dir <dir>`; `serve` consumes `--smoke`,
-/// `--out <path>`, and `--out-dir <dir>` for its wall/sim trace
-/// artifacts; `net` consumes `--smoke` and `--out <path>`.)
+/// (`obs` consumes `--out-dir <dir>`; `serve` consumes `--smoke` and
+/// `--out-dir <dir>` for its wall/sim trace artifacts; `net` consumes
+/// `--smoke`.)
 const REGISTRY: &[(&str, Experiment)] = &[
     ("table1", |_| table1()),
     ("fig6", |_| fig6()),

@@ -21,10 +21,9 @@
 //!    a proof. The post-chaos drain must report `lost == 0`.
 //!
 //! Stdout is byte-deterministic (mode verdicts and integer counters
-//! only) so the golden harness can pin it; the wall-clock latency
-//! comparison (TCP p99 vs in-process p99) is machine-dependent and
-//! lands only in `BENCH_net.json`, written only when `--out <path>` is
-//! passed. `--smoke` shrinks the trace for CI.
+//! only) so the golden harness can pin it; the machine-dependent
+//! TCP-vs-in-process latency is the benchmark's `serve_tcp` /
+//! `serve_inproc` pair. `--smoke` shrinks the trace for CI.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -32,8 +31,8 @@ use std::time::Duration;
 use zkphire_core::protocol::Gate;
 use zkphire_fleet::{RequestClass, SplitMix64, TraceSource};
 use zkphire_serve::{
-    chaos, reconcile_wall, replay, replay_net, ChaosMode, NetClient, NetServer, NetStats,
-    ProvingService, ServeConfig, ServeOpts, ServeReport, SubmitResult,
+    chaos, reconcile_wall, replay, replay_net, ChaosMode, NetClient, NetServer, ProvingService,
+    ServeConfig, ServeOpts, SubmitResult,
 };
 use zkphire_telemetry as tele;
 use zkphire_telemetry::{WallEventKind, WallTimeline};
@@ -52,14 +51,9 @@ pub fn net() -> String {
     net_with_args(&[])
 }
 
-/// `repro net [--smoke] [--out <path>]`.
+/// `repro net [--smoke]`.
 pub fn net_with_args(args: &[String]) -> String {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
 
     let class = RequestClass::new(Gate::Vanilla, 4);
     let n_requests: usize = if smoke { 16 } else { 60 };
@@ -78,8 +72,8 @@ pub fn net_with_args(args: &[String]) -> String {
         .with_idle_timeout_ms(2000);
 
     // One shared trace: seeded exponential gaps, tenants drawn
-    // uniformly. Timestamps only shape wall latency (JSON-only), so a
-    // fixed mean gap keeps stdout independent of this machine.
+    // uniformly. Timestamps only shape wall latency (never printed), so
+    // a fixed mean gap keeps stdout independent of this machine.
     let mut rng = SplitMix64::new(SEED);
     let mut t = 0.0;
     let mut trace = Vec::with_capacity(n_requests);
@@ -304,106 +298,7 @@ pub fn net_with_args(args: &[String]) -> String {
          post-chaos probe proved, and the drain conserved all accounting (lost=0)"
     );
 
-    if let Some(path) = out_path {
-        match std::fs::write(
-            &path,
-            render_json(
-                smoke,
-                n_requests,
-                &base_report,
-                &tcp_report.serve,
-                &tcp_report.stats,
-                &verdicts,
-                cs,
-            ),
-        ) {
-            Ok(()) => {
-                let _ = writeln!(out, "wrote {path}");
-            }
-            Err(e) => {
-                let _ = writeln!(out, "FAILED to write {path}: {e}");
-            }
-        }
-    } else {
-        let _ = writeln!(
-            out,
-            "(wall latency quantiles are machine-dependent; pass --out <path> \
-             to write BENCH_net.json)"
-        );
-    }
     out
-}
-
-fn render_json(
-    smoke: bool,
-    n_requests: usize,
-    base: &ServeReport,
-    tcp: &ServeReport,
-    tcp_stats: &NetStats,
-    verdicts: &[(ChaosMode, String)],
-    chaos_stats: &NetStats,
-) -> String {
-    fn side_json(s: &mut String, key: &str, r: &ServeReport) {
-        let _ = writeln!(
-            s,
-            "  \"{key}\": {{\"completed\": {}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \
-             \"p99_ms\": {:.4}, \"makespan_ms\": {:.4}}},",
-            r.summary.completed,
-            r.summary.p50_latency_ms,
-            r.summary.p95_latency_ms,
-            r.summary.p99_latency_ms,
-            r.summary.makespan_ms
-        );
-    }
-    fn stats_json(s: &NetStats) -> String {
-        format!(
-            "{{\"conns_accepted\": {}, \"conns_refused\": {}, \"clean_closes\": {}, \
-             \"protocol_errors\": {}, \"stalled_closes\": {}, \"idle_closes\": {}, \
-             \"truncated_closes\": {}, \"disconnects\": {}, \"submits\": {}, \
-             \"accepted_submits\": {}, \"rejected_submits\": {}, \
-             \"outcomes_streamed\": {}, \"outcomes_dropped\": {}}}",
-            s.conns_accepted,
-            s.conns_refused,
-            s.clean_closes,
-            s.protocol_errors,
-            s.stalled_closes,
-            s.idle_closes,
-            s.truncated_closes,
-            s.disconnects,
-            s.submits,
-            s.accepted_submits,
-            s.rejected_submits,
-            s.outcomes_streamed,
-            s.outcomes_dropped
-        )
-    }
-
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"zkphire-bench-net/v1\",\n");
-    let _ = writeln!(s, "  \"smoke\": {smoke},");
-    let _ = writeln!(s, "  \"n_requests\": {n_requests},");
-    side_json(&mut s, "inproc", base);
-    side_json(&mut s, "tcp", tcp);
-    let _ = writeln!(
-        s,
-        "  \"tcp_over_inproc_p99_ratio\": {:.4},",
-        tcp.summary.p99_latency_ms / base.summary.p99_latency_ms.max(f64::MIN_POSITIVE)
-    );
-    let _ = writeln!(s, "  \"tcp_wire\": {},", stats_json(tcp_stats));
-    s.push_str("  \"chaos\": [\n");
-    for (i, (mode, verdict)) in verdicts.iter().enumerate() {
-        let comma = if i + 1 == verdicts.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"mode\": \"{}\", \"verdict\": \"{verdict}\"}}{comma}",
-            mode.as_str()
-        );
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(s, "  \"chaos_wire\": {},", stats_json(chaos_stats));
-    s.push_str("  \"unit\": \"ms\"\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -412,14 +307,7 @@ mod tests {
 
     #[test]
     fn smoke_run_survives_chaos_and_writes_v1_json() {
-        let dir = std::env::temp_dir().join("zkphire_net_exp_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let out = dir.join("BENCH_net.json");
-        let report = net_with_args(&[
-            "--smoke".to_string(),
-            "--out".to_string(),
-            out.display().to_string(),
-        ]);
+        let report = net_with_args(&["--smoke".to_string()]);
         assert!(report.contains("phase 1 — in-process baseline"), "{report}");
         assert!(report.contains("phase 2 — framed TCP"), "{report}");
         assert!(
@@ -427,15 +315,8 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("survival: every mode"), "{report}");
-        assert!(report.contains("wrote "), "{report}");
-        let json = std::fs::read_to_string(&out).expect("json exists");
-        assert!(json.contains("\"schema\": \"zkphire-bench-net/v1\""));
-        assert!(json.contains("\"inproc\""));
-        assert!(json.contains("\"tcp\""));
-        assert!(json.contains("\"tcp_over_inproc_p99_ratio\""));
-        assert!(json.contains("\"chaos\""));
         for mode in ChaosMode::ALL {
-            assert!(json.contains(mode.as_str()), "{} tabled", mode.as_str());
+            assert!(report.contains(mode.as_str()), "{} tabled", mode.as_str());
         }
     }
 }

@@ -23,8 +23,7 @@
 //!    summary's utilization numerators;
 //! 5. report per-tenant p50/p95/p99 side by side, decompose the
 //!    sim-vs-wall p99 gap into its measured contributors (dispatch
-//!    wakeup latency, loadgen arrival error), and — under
-//!    `--out <path>` — write `BENCH_serve.json` (schema v2).
+//!    wakeup latency, loadgen arrival error).
 //!
 //! Outcome conservation (every traced arrival completes on both sides)
 //! is a hard assertion — a run that drops work is a bug, not a data
@@ -33,8 +32,8 @@
 //! so wall quantiles run a modest factor above it; what should hold is
 //! the *shape* — tenants ordered the same, tails inflating together —
 //! and the gap histograms name where the remaining wall-only time goes.
-//! `--smoke` shrinks the trace so CI can gate the harness, the JSON
-//! schema, and the trace exports in seconds. `--out-dir <dir>` writes
+//! `--smoke` shrinks the trace so CI can gate the harness and the trace
+//! exports in seconds. `--out-dir <dir>` writes
 //! the four trace artifacts (wall Chrome trace + JSONL, streamed
 //! outcomes JSONL, sim Chrome trace) for side-by-side Perfetto loading.
 
@@ -79,13 +78,9 @@ pub fn serve() -> String {
     serve_with_args(&[])
 }
 
-/// `repro serve [--smoke] [--out <path>] [--out-dir <dir>]`.
+/// `repro serve [--smoke] [--out-dir <dir>]`.
 pub fn serve_with_args(args: &[String]) -> String {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1));
     let out_dir = args
         .iter()
         .position(|a| a == "--out-dir")
@@ -377,126 +372,7 @@ pub fn serve_with_args(args: &[String]) -> String {
             }
         }
     }
-
-    if let Some(out_path) = out_path {
-        match std::fs::write(
-            out_path,
-            render_json(
-                smoke,
-                workers,
-                &calibration,
-                &sim_report.summary.per_tenant,
-                &wall_report.summary.per_tenant,
-                &GapFacts {
-                    sim_p99_ms: sim_p99,
-                    wall_p99_ms: wall_p99,
-                    dispatch_wakeup_us: &wall_report.dispatch_wakeup_us,
-                    arrival_error_us: &gen.arrival_error_us,
-                    wall_events: wall_tl.events().len() as u64,
-                    wall_epoch_ns: wall_tl.epoch_ns(),
-                },
-            ),
-        ) {
-            Ok(()) => {
-                let _ = writeln!(out, "wrote {out_path}");
-            }
-            Err(e) => {
-                let _ = writeln!(out, "FAILED to write {out_path}: {e}");
-            }
-        }
-    }
     out
-}
-
-/// The measured gap decomposition that lands in `BENCH_serve.json` v2.
-struct GapFacts<'a> {
-    sim_p99_ms: f64,
-    wall_p99_ms: f64,
-    dispatch_wakeup_us: &'a Histogram,
-    arrival_error_us: &'a Histogram,
-    wall_events: u64,
-    wall_epoch_ns: u64,
-}
-
-fn render_json(
-    smoke: bool,
-    workers: usize,
-    calibration: &[(RequestClass, f64)],
-    sim: &[TenantSummary],
-    wall: &[TenantSummary],
-    gap: &GapFacts<'_>,
-) -> String {
-    fn tenants_json(s: &mut String, key: &str, tenants: &[TenantSummary]) {
-        let _ = writeln!(s, "  \"{key}\": [");
-        for (i, t) in tenants.iter().enumerate() {
-            let comma = if i + 1 == tenants.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "    {{\"tenant\": {}, \"completed\": {}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}}}{comma}",
-                t.tenant, t.completed, t.p50_latency_ms, t.p95_latency_ms, t.p99_latency_ms
-            );
-        }
-        let _ = writeln!(s, "  ],");
-    }
-
-    fn hist_json(h: &Histogram) -> String {
-        format!(
-            "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.4}}}",
-            h.count,
-            h.sum,
-            if h.count == 0 { 0 } else { h.min },
-            h.max,
-            h.mean()
-        )
-    }
-
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"zkphire-bench-serve/v2\",\n");
-    let _ = writeln!(s, "  \"smoke\": {smoke},");
-    let _ = writeln!(s, "  \"workers\": {workers},");
-    let _ = writeln!(
-        s,
-        "  \"meta\": {{\"wall_events\": {}, \"wall_epoch_ns\": {}}},",
-        gap.wall_events, gap.wall_epoch_ns
-    );
-    s.push_str("  \"calibration\": [\n");
-    for (i, (class, ms)) in calibration.iter().enumerate() {
-        let comma = if i + 1 == calibration.len() { "" } else { "," };
-        let gate = match class.gate {
-            Gate::Vanilla => "vanilla",
-            Gate::Jellyfish => "jellyfish",
-        };
-        let _ = writeln!(
-            s,
-            "    {{\"gate\": \"{gate}\", \"mu\": {}, \"measured_ms\": {ms:.4}}}{comma}",
-            class.mu
-        );
-    }
-    s.push_str("  ],\n");
-    tenants_json(&mut s, "sim", sim);
-    tenants_json(&mut s, "wall", wall);
-    let _ = writeln!(s, "  \"gap\": {{");
-    let _ = writeln!(s, "    \"sim_p99_ms\": {:.4},", gap.sim_p99_ms);
-    let _ = writeln!(s, "    \"wall_p99_ms\": {:.4},", gap.wall_p99_ms);
-    let _ = writeln!(
-        s,
-        "    \"p99_ratio\": {:.4},",
-        gap.wall_p99_ms / gap.sim_p99_ms.max(f64::MIN_POSITIVE)
-    );
-    let _ = writeln!(
-        s,
-        "    \"dispatch_wakeup_us\": {},",
-        hist_json(gap.dispatch_wakeup_us)
-    );
-    let _ = writeln!(
-        s,
-        "    \"arrival_error_us\": {}",
-        hist_json(gap.arrival_error_us)
-    );
-    s.push_str("  },\n");
-    s.push_str("  \"unit\": \"ms\"\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -507,11 +383,8 @@ mod tests {
     fn smoke_run_reconciles_and_writes_v2_json_with_artifacts() {
         let dir = std::env::temp_dir().join("zkphire_serve_exp_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let out = dir.join("BENCH_serve.json");
         let report = serve_with_args(&[
             "--smoke".to_string(),
-            "--out".to_string(),
-            out.display().to_string(),
             "--out-dir".to_string(),
             dir.display().to_string(),
         ]);
@@ -527,15 +400,7 @@ mod tests {
             report.contains("reconcile with ServeSummary"),
             "reconciliation asserted at drain:\n{report}"
         );
-        assert!(report.contains("wrote "), "json written:\n{report}");
-        let json = std::fs::read_to_string(&out).expect("json exists");
-        assert!(json.contains("\"schema\": \"zkphire-bench-serve/v2\""));
-        assert!(json.contains("\"sim\""));
-        assert!(json.contains("\"wall\""));
-        assert!(json.contains("\"gap\""));
-        assert!(json.contains("\"p99_ratio\""));
-        assert!(json.contains("\"dispatch_wakeup_us\""));
-        assert!(json.contains("\"arrival_error_us\""));
+        assert!(report.contains("wrote "), "artifacts written:\n{report}");
         let wall_trace =
             std::fs::read_to_string(dir.join("SERVE_wall_trace.json")).expect("wall trace");
         assert!(wall_trace.starts_with("{\"traceEvents\":["));

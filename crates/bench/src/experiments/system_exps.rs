@@ -322,11 +322,16 @@ pub fn table5() -> String {
             "202.28".into(),
         ],
     ];
-    fmt_table(
+    let mut out = fmt_table(
         "Table V — exemplar zkPHIRE design: area (mm^2) and average power (W), model vs paper",
         &["Module", "Area", "Paper", "Power", "Paper "],
         &rows,
-    )
+    );
+    out.push_str(&format!(
+        "\nPeak on-chip port bandwidth: {:.1} TB/s (paper §IV-B6: ~19 TB/s)\n",
+        cfg.peak_onchip_bandwidth_gbps() / 1000.0
+    ));
+    out
 }
 
 fn f2(x: f64) -> String {

@@ -92,14 +92,6 @@ impl CostModel {
         self.cache.insert((gate, mu), r);
     }
 
-    /// Fills the cache for every `(gate, mu)` pair up front so a
-    /// simulation's hot loop never pays a model evaluation.
-    pub fn prewarm<I: IntoIterator<Item = (Gate, usize)>>(&mut self, classes: I) {
-        for (gate, mu) in classes {
-            self.report(gate, mu);
-        }
-    }
-
     /// `(cache hits, cache misses)` since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -119,16 +111,6 @@ mod tests {
         assert_eq!(cached_cold, direct.total_ms);
         assert_eq!(cached_warm, direct.total_ms);
         assert_eq!(db.stats(), (1, 1));
-    }
-
-    #[test]
-    fn prewarm_fills_cache() {
-        let mut db = CostModel::exemplar();
-        db.prewarm([(Gate::Vanilla, 18), (Gate::Jellyfish, 18)]);
-        assert_eq!(db.stats(), (0, 2));
-        db.proof_ms(Gate::Vanilla, 18);
-        db.proof_ms(Gate::Jellyfish, 18);
-        assert_eq!(db.stats(), (2, 2));
     }
 
     #[test]

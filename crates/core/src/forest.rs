@@ -35,15 +35,6 @@ impl ForestConfig {
         compute.max(mem_cycles)
     }
 
-    /// Cycles to evaluate one size-`n` MLE at a field point (successive
-    /// fold layers: `n - 1` multiplications, halving each layer).
-    pub fn mle_eval_cycles(&self, n: u64, mem: &MemoryConfig) -> f64 {
-        let n = n as f64;
-        let compute = n / self.total_muls() as f64 + (n.log2().ceil() + 8.0);
-        let mem_cycles = mem.cycles_for_bytes(n * ELEMENT_BYTES);
-        compute.max(mem_cycles)
-    }
-
     /// Cycles for the Batch Evaluations step: `claims` MLE evaluations of
     /// size-`n` tables (paper §IV-A), pipelined through the forest.
     pub fn batch_eval_cycles(&self, claims: usize, n: u64, mem: &MemoryConfig) -> f64 {

@@ -8,11 +8,11 @@
 //!
 //! * [`profile`] — hardware-facing polynomial profiles;
 //! * [`sched`] — the Fig. 2 graph-decomposition scheduler;
-//! * [`program`] — lowering schedules to controller instructions (§III-E);
 //! * [`sumcheck_unit`] — the programmable SumCheck unit cycle model (§III);
-//! * [`msm_unit`], [`forest`], [`permquot`], [`mle_combine`], [`noc`] —
-//!   the other zkPHIRE modules (§IV-B);
-//! * [`system`] — full-chip area/power (Table V);
+//! * [`msm_unit`], [`forest`], [`permquot`], [`mle_combine`] — the other
+//!   zkPHIRE modules (§IV-B);
+//! * [`system`] — full-chip area/power (Table V) and peak on-chip port
+//!   bandwidth (§IV-B6);
 //! * [`protocol`] — the five-step HyperPlonk schedule with Masked
 //!   ZeroCheck (§IV-A);
 //! * [`costdb`] — memoized protocol-cost queries (the service-time
@@ -36,10 +36,8 @@ pub mod forest;
 pub mod memory;
 pub mod mle_combine;
 pub mod msm_unit;
-pub mod noc;
 pub mod permquot;
 pub mod profile;
-pub mod program;
 pub mod protocol;
 pub mod sched;
 pub mod sumcheck_unit;

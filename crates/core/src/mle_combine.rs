@@ -3,7 +3,7 @@
 //! before and after the OpenCheck in Polynomial Opening.
 
 use crate::memory::MemoryConfig;
-use crate::tech::{self, PrimeMode, ELEMENT_BYTES};
+use crate::tech::{PrimeMode, ELEMENT_BYTES};
 
 /// Local SRAM input buffers (§IV-B4: "up to 6 local SRAM buffers").
 pub const COMBINE_BUFFERS: usize = 6;
@@ -43,11 +43,6 @@ impl MleCombineConfig {
         let mem_bytes = (inputs as f64 + 2.0 * (passes - 1.0) + 1.0) * n * ELEMENT_BYTES;
         compute.max(mem.cycles_for_bytes(mem_bytes)) + 64.0
     }
-}
-
-/// Power helper used by the system model.
-pub fn other_modules_watts() -> f64 {
-    tech::OTHER_WATTS
 }
 
 #[cfg(test)]

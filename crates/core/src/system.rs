@@ -1,5 +1,5 @@
 //! The full zkPHIRE system configuration with its area and power models
-//! (paper §IV, Fig. 4, Table V).
+//! (paper §IV, Fig. 4, Table V) and its peak on-chip bandwidth (§IV-B6).
 //!
 //! Product-lane multipliers are *shared* with the Multifunction Forest
 //! (§IV-B2): the SumCheck PEs contribute only update multipliers,
@@ -14,7 +14,7 @@ use crate::mle_combine::MleCombineConfig;
 use crate::msm_unit::MsmUnitConfig;
 use crate::permquot::PermQuotConfig;
 use crate::sumcheck_unit::SumcheckUnitConfig;
-use crate::tech::{self, PrimeMode};
+use crate::tech::{self, PrimeMode, ELEMENT_BYTES, POINT_BYTES};
 
 /// Fixed SRAM provisioned for PermQuotGen, MLE Combine and Forest buffers
 /// (§IV-B6: "Smaller buffers (6 MB) serve ...").
@@ -189,6 +189,26 @@ impl ZkphireConfig {
             hbm: self.mem.power_watts(),
         }
     }
+
+    /// Peak aggregate port bandwidth (GB/s at the 1 GHz clock) the modules
+    /// can demand of the on-chip interconnect — the quantity §IV-B6
+    /// reports as "up to 19 TB/s" for the exemplar.
+    ///
+    /// Per module, ports × elements/cycle × element size:
+    /// * SumCheck PEs stream 4 raw values in + 2 updated values out per MLE
+    ///   pair slot;
+    /// * each Forest tree consumes two operands per cycle;
+    /// * each MSM PE ingests one (point, scalar) pair per cycle;
+    /// * MLE Combine streams one element per multiplier;
+    /// * PermQuotGen reads witness+σ and writes N/D/ϕ per PE.
+    pub fn peak_onchip_bandwidth_gbps(&self) -> f64 {
+        let sumcheck = self.sumcheck.pes as f64 * 6.0 * ELEMENT_BYTES;
+        let forest = self.forest.trees as f64 * 2.0 * ELEMENT_BYTES;
+        let msm = self.msm.pes as f64 * (POINT_BYTES + ELEMENT_BYTES);
+        let combine = self.combine.muls as f64 * ELEMENT_BYTES;
+        let permquot = self.permquot.pes as f64 * 6.0 * ELEMENT_BYTES;
+        sumcheck + forest + msm + combine + permquot
+    }
 }
 
 #[cfg(test)]
@@ -234,6 +254,13 @@ mod tests {
             "total {}",
             p.total()
         );
+    }
+
+    #[test]
+    fn exemplar_peaks_near_19_tbps() {
+        // §IV-B6: "the peak bandwidth requirement reaches 19 TB/s".
+        let peak = ZkphireConfig::exemplar().peak_onchip_bandwidth_gbps();
+        assert!(peak > 15_000.0 && peak < 23_000.0, "peak {peak} GB/s");
     }
 
     #[test]

@@ -5,10 +5,8 @@
 //! Where the paper reports only module-level totals (Table V), the
 //! per-component constants below are calibrated so the exemplar
 //! 294 mm² / 202 W design point reproduces that table; each calibrated
-//! constant is marked.
-
-/// Clock frequency (§V): cycles at 1 GHz equal nanoseconds.
-pub const CLOCK_GHZ: f64 = 1.0;
+//! constant is marked. The design clock is 1 GHz (§V), so cycles equal
+//! nanoseconds throughout the model.
 
 /// Bytes per MLE element (255-bit padded to 32 B).
 pub const ELEMENT_BYTES: f64 = 32.0;
@@ -18,9 +16,6 @@ pub const POINT_BYTES: f64 = 96.0;
 
 /// Area scale factor 22nm → 7nm (paper §V, after [65], [66]).
 pub const AREA_SCALE_22_TO_7: f64 = 3.6;
-
-/// Power scale factor 22nm → 7nm.
-pub const POWER_SCALE_22_TO_7: f64 = 3.3;
 
 /// Which modular-multiplier flavour a design uses (§V: fixed primes save
 /// ~50% area and ~2× computational density).

@@ -43,7 +43,7 @@ pub struct SumcheckDseResult {
 
 /// Enumerates the standalone SumCheck design space (Table III's SumCheck
 /// rows, PE counts extended to fill the area budget).
-pub fn candidate_configs() -> Vec<SumcheckUnitConfig> {
+fn candidate_configs() -> Vec<SumcheckUnitConfig> {
     let mut out = Vec::new();
     for &pes in &[1usize, 2, 4, 8, 16, 24, 32] {
         for ees in 2..=7usize {

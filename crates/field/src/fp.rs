@@ -80,9 +80,6 @@ impl<P: FieldParams<N>, const N: usize> Fp<P, N> {
         _params: PhantomData,
     };
 
-    /// Number of 64-bit limbs in the representation.
-    pub const NUM_LIMBS: usize = N;
-
     /// Number of significant modulus bits.
     pub const MODULUS_BITS: u32 = P::MODULUS_BITS;
 
@@ -163,12 +160,6 @@ impl<P: FieldParams<N>, const N: usize> Fp<P, N> {
             limbs,
             _params: PhantomData,
         }
-    }
-
-    /// Returns the raw Montgomery-form limbs.
-    #[inline]
-    pub const fn montgomery_limbs(&self) -> [u64; N] {
-        self.limbs
     }
 
     /// Converts back to canonical little-endian limbs (`< MODULUS`).

@@ -175,20 +175,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Sets the base backoff (builder style).
-    pub fn with_base_backoff_ms(mut self, ms: f64) -> Self {
-        assert!(ms >= 0.0);
-        self.base_backoff_ms = ms;
-        self
-    }
-
-    /// Sets the backoff ceiling (builder style).
-    pub fn with_max_backoff_ms(mut self, ms: f64) -> Self {
-        assert!(ms >= 0.0);
-        self.max_backoff_ms = ms;
-        self
-    }
-
     /// Sets the jitter fraction (builder style).
     pub fn with_jitter(mut self, jitter: f64) -> Self {
         assert!((0.0..1.0).contains(&jitter), "jitter outside [0, 1)");
@@ -297,10 +283,12 @@ mod tests {
 
     #[test]
     fn backoff_doubles_caps_and_jitters_within_band() {
-        let p = RetryPolicy::new(5)
-            .with_base_backoff_ms(8.0)
-            .with_max_backoff_ms(100.0)
-            .with_jitter(0.25);
+        let p = RetryPolicy {
+            base_backoff_ms: 8.0,
+            max_backoff_ms: 100.0,
+            ..RetryPolicy::new(5)
+        }
+        .with_jitter(0.25);
         let mut rng = SplitMix64::new(7);
         for attempt in 1..=8u32 {
             let nominal = (8.0 * f64::from(2u32.pow(attempt - 1))).min(100.0);
@@ -309,9 +297,11 @@ mod tests {
             assert!(b >= 0.75 * nominal - 1e-12, "attempt {attempt}: {b}");
         }
         // Jitter-free policy is exact.
-        let q = RetryPolicy::new(2)
-            .with_jitter(0.0)
-            .with_base_backoff_ms(4.0);
+        let q = RetryPolicy {
+            base_backoff_ms: 4.0,
+            ..RetryPolicy::new(2)
+        }
+        .with_jitter(0.0);
         assert_eq!(q.backoff_ms(1, &mut rng), 4.0);
         assert_eq!(q.backoff_ms(2, &mut rng), 8.0);
     }

@@ -51,17 +51,6 @@ impl WorkloadMix {
         Self::inverse_size_weighted(entries)
     }
 
-    /// The Table VI Vanilla suite under the same inverse-size weighting.
-    pub fn table_vi_vanilla(max_mu: usize) -> Self {
-        let entries: Vec<(RequestClass, f64)> = all_workloads()
-            .iter()
-            .filter_map(|w| w.vanilla_log2)
-            .filter(|&mu| mu <= max_mu)
-            .map(|mu| (RequestClass::new(Gate::Vanilla, mu), 1.0))
-            .collect();
-        Self::inverse_size_weighted(entries)
-    }
-
     /// Both tables combined — the service accepts either arithmetization.
     pub fn tables_vi_vii(max_mu: usize) -> Self {
         let mut entries: Vec<(RequestClass, f64)> = Vec::new();

@@ -6,6 +6,11 @@
 //! encoding of [`G1Affine::to_bytes`]. (The paper's proof-size accounting
 //! assumes 48-byte compressed points; [`HyperPlonkProof::size_bytes`]
 //! reports that figure, while this codec favours simplicity.)
+//!
+//! Decoding accepts exactly the bytes [`HyperPlonkProof::to_bytes`]
+//! emits: a scalar or coordinate `≥` its modulus, an infinity flag other
+//! than 0 or 1, an identity point with non-zero coordinates, or bytes
+//! after the last section are errors, not aliases of a valid proof.
 
 use core::fmt;
 
@@ -25,6 +30,11 @@ pub enum DecodeError {
     InvalidPoint,
     /// A declared count is implausibly large for the input length.
     CorruptCount,
+    /// A field element, flag byte or identity point is not in the form
+    /// `to_bytes` emits.
+    NonCanonical,
+    /// Bytes remain after the last section.
+    TrailingBytes,
 }
 
 impl fmt::Display for DecodeError {
@@ -33,6 +43,8 @@ impl fmt::Display for DecodeError {
             Self::UnexpectedEnd => write!(f, "input truncated"),
             Self::InvalidPoint => write!(f, "encoded point is not on the curve"),
             Self::CorruptCount => write!(f, "section count exceeds input length"),
+            Self::NonCanonical => write!(f, "non-canonical field element or point encoding"),
+            Self::TrailingBytes => write!(f, "trailing bytes after the proof"),
         }
     }
 }
@@ -56,8 +68,8 @@ impl<'a> Reader<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        let bytes = self.take(4)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     fn count(&mut self) -> Result<usize, DecodeError> {
@@ -70,7 +82,7 @@ impl<'a> Reader<'a> {
     }
 
     fn fr(&mut self) -> Result<Fr, DecodeError> {
-        Ok(Fr::from_le_bytes_mod_order(self.take(32)?))
+        Fr::from_canonical_limbs(le_limbs(self.take(32)?)).ok_or(DecodeError::NonCanonical)
     }
 
     fn frs(&mut self) -> Result<Vec<Fr>, DecodeError> {
@@ -80,26 +92,45 @@ impl<'a> Reader<'a> {
 
     fn point(&mut self) -> Result<G1Affine, DecodeError> {
         let bytes = self.take(97)?;
-        if bytes[0] == 1 {
-            return Ok(G1Affine::identity());
-        }
-        let x = Fq::from_le_bytes_mod_order(&bytes[1..49]);
-        let y = Fq::from_le_bytes_mod_order(&bytes[49..97]);
-        let p = G1Affine {
-            x,
-            y,
-            infinity: false,
+        let (Some(x), Some(y)) = (
+            Fq::from_canonical_limbs(le_limbs(&bytes[1..49])),
+            Fq::from_canonical_limbs(le_limbs(&bytes[49..97])),
+        ) else {
+            return Err(DecodeError::NonCanonical);
         };
-        if !p.is_on_curve() {
-            return Err(DecodeError::InvalidPoint);
+        match bytes[0] {
+            0 => {
+                let p = G1Affine {
+                    x,
+                    y,
+                    infinity: false,
+                };
+                if p.is_on_curve() {
+                    Ok(p)
+                } else {
+                    Err(DecodeError::InvalidPoint)
+                }
+            }
+            1 if x.is_zero() && y.is_zero() => Ok(G1Affine::identity()),
+            _ => Err(DecodeError::NonCanonical),
         }
-        Ok(p)
     }
 
     fn points(&mut self) -> Result<Vec<G1Affine>, DecodeError> {
         let n = self.count()?;
         (0..n).map(|_| self.point()).collect()
     }
+}
+
+/// Little-endian limbs of `8 * N` bytes.
+fn le_limbs<const N: usize>(bytes: &[u8]) -> [u64; N] {
+    let mut limbs = [0u64; N];
+    for (limb, chunk) in limbs.iter_mut().zip(bytes.chunks_exact(8)) {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        *limb = u64::from_le_bytes(word);
+    }
+    limbs
 }
 
 fn put_u32(out: &mut Vec<u8>, v: usize) {
@@ -174,8 +205,9 @@ impl HyperPlonkProof {
 
     /// Decodes a proof produced by [`to_bytes`](Self::to_bytes).
     ///
-    /// Structural validity (curve membership, section framing) is checked
-    /// here; cryptographic validity is the verifier's job.
+    /// Structural validity (canonical encodings, curve membership,
+    /// section framing) is checked here; cryptographic validity is the
+    /// verifier's job.
     ///
     /// # Errors
     ///
@@ -201,6 +233,9 @@ impl HyperPlonkProof {
             quotients: r.points()?,
         };
         let opening_value = r.fr()?;
+        if r.pos != data.len() {
+            return Err(DecodeError::TrailingBytes);
+        }
         Ok(Self {
             witness_commitments,
             gate_zerocheck,
@@ -278,6 +313,71 @@ mod tests {
         bytes[0] = 0xff;
         bytes[1] = 0xff;
         assert!(HyperPlonkProof::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn trailing_byte_rejected() {
+        let (_, proof) = sample_proof();
+        let mut bytes = proof.to_bytes();
+        bytes.push(0);
+        assert_eq!(
+            HyperPlonkProof::from_bytes(&bytes).unwrap_err(),
+            DecodeError::TrailingBytes
+        );
+    }
+
+    #[test]
+    fn scalar_plus_modulus_rejected() {
+        let (_, proof) = sample_proof();
+        let mut bytes = proof.to_bytes();
+        // opening_value + r: the same residue, a different encoding.
+        let at = bytes.len() - 32;
+        let mut carry = 1u16; // (r - 1) + 1
+        for (b, m) in bytes[at..].iter_mut().zip((-Fr::ONE).to_le_bytes()) {
+            let sum = u16::from(*b) + u16::from(m) + carry;
+            *b = sum as u8;
+            carry = sum >> 8;
+        }
+        assert_eq!(carry, 0, "v + r fits in 32 bytes");
+        assert_eq!(
+            HyperPlonkProof::from_bytes(&bytes).unwrap_err(),
+            DecodeError::NonCanonical
+        );
+    }
+
+    #[test]
+    fn coordinate_at_or_above_modulus_rejected() {
+        let (_, proof) = sample_proof();
+        let mut bytes = proof.to_bytes();
+        // First witness commitment's x: 2^384 - 1 > p.
+        bytes[5..53].fill(0xff);
+        assert_eq!(
+            HyperPlonkProof::from_bytes(&bytes).unwrap_err(),
+            DecodeError::NonCanonical
+        );
+    }
+
+    #[test]
+    fn infinity_flag_outside_zero_one_rejected() {
+        let (_, proof) = sample_proof();
+        let mut bytes = proof.to_bytes();
+        bytes[4] = 2;
+        assert_eq!(
+            HyperPlonkProof::from_bytes(&bytes).unwrap_err(),
+            DecodeError::NonCanonical
+        );
+    }
+
+    #[test]
+    fn identity_with_nonzero_coordinates_rejected() {
+        let (_, proof) = sample_proof();
+        let mut bytes = proof.to_bytes();
+        assert!(!proof.witness_commitments[0].0.is_identity());
+        bytes[4] = 1;
+        assert_eq!(
+            HyperPlonkProof::from_bytes(&bytes).unwrap_err(),
+            DecodeError::NonCanonical
+        );
     }
 
     #[test]

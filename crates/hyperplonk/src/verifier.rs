@@ -94,7 +94,15 @@ pub fn verify(
     let n = 1usize << mu;
     let s = system.num_selectors();
     let w_cols = system.num_witness_columns();
-    if proof.witness_commitments.len() != w_cols || proof.extra_evals.len() != 2 * w_cols {
+    let gate = system.gate();
+    let perm_gate = system.perm_gate();
+    let k_p = num_distinct_polys(system);
+    if proof.witness_commitments.len() != w_cols
+        || proof.extra_evals.len() != 2 * w_cols
+        || proof.gate_zerocheck.final_mle_evals.len() != gate.poly.num_mles()
+        || proof.perm_zerocheck.final_mle_evals.len() != perm_gate.poly.num_mles()
+        || proof.opencheck.final_mle_evals.len() != k_p + NUM_POINTS
+    {
         return Err(HyperPlonkError::ShapeMismatch);
     }
 
@@ -110,7 +118,6 @@ pub fn verify(
     }
 
     // Step 2 — Gate Identity.
-    let gate = system.gate();
     let gate_verified = verify_zero_check(
         &gate.poly,
         system.gate_eq_slot(),
@@ -128,7 +135,7 @@ pub fn verify(
         transcript.append_bytes(b"hyperplonk/perm", &c.to_bytes());
     }
     let alpha = transcript.challenge_fr(b"hyperplonk/alpha");
-    let perm_poly = system.perm_gate().poly.specialize(&[alpha]);
+    let perm_poly = perm_gate.poly.specialize(&[alpha]);
     let perm_verified = verify_zero_check(
         &perm_poly,
         system.perm_eq_slot(),
@@ -173,14 +180,12 @@ pub fn verify(
         return Err(HyperPlonkError::ClaimSumMismatch);
     }
     let r_star = oc_verified.challenges.clone();
-    let k_p = num_distinct_polys(system);
     let points = [x_zc, x_pc, index_point(root_index(n), mu)];
     for (t, point) in points.iter().enumerate() {
         if oc_verified.mle_evals[k_p + t] != eq_eval(&r_star, point) {
             return Err(HyperPlonkError::EqEvalMismatch { point: t });
         }
     }
-    debug_assert_eq!(oc_verified.mle_evals.len(), k_p + NUM_POINTS);
 
     // Combine commitments homomorphically and verify the single opening.
     let zetas = transcript.challenge_frs(b"hyperplonk/combine/zeta", k_p);

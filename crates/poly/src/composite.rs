@@ -49,7 +49,7 @@ impl Term {
     }
 
     /// Number of *distinct* MLEs in the term.
-    pub fn unique_factors(&self) -> usize {
+    fn unique_factors(&self) -> usize {
         let mut ids: Vec<MleId> = self.factors.clone();
         ids.dedup();
         ids.len()
@@ -188,34 +188,6 @@ impl CompositePoly {
         }
     }
 
-    /// Appends an extra factor (a fresh MLE slot) to every term — the
-    /// ZeroCheck transformation `f(x) -> f(x) * f_r(x)` (§III-F). Returns
-    /// the id of the new slot.
-    pub fn with_extra_factor(&self) -> (Self, MleId) {
-        let new_id = MleId(self.num_mles);
-        let terms = self
-            .terms
-            .iter()
-            .map(|t| {
-                let mut factors = t.factors.clone();
-                factors.push(new_id);
-                Term {
-                    coeff: t.coeff,
-                    scalars: t.scalars.clone(),
-                    factors,
-                }
-            })
-            .collect();
-        (
-            Self {
-                terms,
-                num_mles: self.num_mles + 1,
-                num_scalars: self.num_scalars,
-            },
-            new_id,
-        )
-    }
-
     /// Checks that a binding supplies every MLE slot with equal arity.
     ///
     /// # Panics
@@ -259,13 +231,6 @@ impl CompositePoly {
         self.validate_binding(mles);
         let n = mles.first().map_or(1, Mle::len);
         (0..n).map(|i| self.evaluate_at_index(mles, i)).sum()
-    }
-
-    /// Evaluates the composite at an arbitrary field point by evaluating
-    /// every constituent MLE there first.
-    pub fn evaluate_at_point(&self, mles: &[Mle], point: &[Fr]) -> Fr {
-        let evals: Vec<Fr> = mles.iter().map(|m| m.evaluate(point)).collect();
-        self.evaluate_with_mle_values(&evals)
     }
 
     /// Evaluates the composite given the value of each constituent MLE —
@@ -353,30 +318,6 @@ mod tests {
         let g = f.specialize(&[Fr::from_u64(5)]);
         assert_eq!(g.num_scalars(), 0);
         assert_eq!(g.terms()[0].coeff, Fr::from_u64(10));
-    }
-
-    #[test]
-    fn with_extra_factor_raises_degree() {
-        let f = simple_composite();
-        let (g, id) = f.with_extra_factor();
-        assert_eq!(id, MleId(3));
-        assert_eq!(g.degree(), 3);
-        assert!(g.terms().iter().all(|t| t.factors.contains(&id)));
-    }
-
-    #[test]
-    fn point_evaluation_consistent_with_index() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mles: Vec<Mle> = (0..3)
-            .map(|_| Mle::from_fn(2, |_| Fr::random(&mut rng)))
-            .collect();
-        let f = simple_composite();
-        // On a hypercube vertex, point evaluation equals index evaluation.
-        let point = [Fr::ONE, Fr::ZERO];
-        assert_eq!(
-            f.evaluate_at_point(&mles, &point),
-            f.evaluate_at_index(&mles, 1)
-        );
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Mle {
         &mut self.evals
     }
 
-    /// Consumes the MLE, returning its table.
-    pub fn into_evals(self) -> Vec<Fr> {
-        self.evals
-    }
-
     /// The paper's *MLE Update* kernel: fixes `X_1 = r`, halving the table.
     ///
     /// `f(r, x2..xµ) = f(0, x2..) + r * (f(1, x2..) - f(0, x2..))`

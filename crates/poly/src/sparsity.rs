@@ -47,7 +47,7 @@ pub fn random_dense<R: Rng + ?Sized>(rng: &mut R, num_vars: usize) -> Mle {
 ///
 /// `Challenge` slots produce an `eq(x, r)` table for a random `r`, exactly
 /// as the Build-MLE kernel would.
-pub fn random_mle_of_kind<R: Rng + ?Sized>(rng: &mut R, kind: MleKind, num_vars: usize) -> Mle {
+fn random_mle_of_kind<R: Rng + ?Sized>(rng: &mut R, kind: MleKind, num_vars: usize) -> Mle {
     match kind {
         MleKind::Selector => random_selector(rng, num_vars),
         MleKind::Witness => random_sparse_witness(rng, num_vars),

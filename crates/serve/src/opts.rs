@@ -174,12 +174,6 @@ impl ServeOpts {
         self
     }
 
-    /// Sets the TCP bind address (builder style).
-    pub fn with_addr(mut self, addr: SocketAddr) -> Self {
-        self.addr = addr;
-        self
-    }
-
     /// Sets the hard connection cap (builder style).
     pub fn with_max_conns(mut self, max_conns: usize) -> Self {
         self.max_conns = max_conns.max(1);
@@ -253,13 +247,10 @@ mod tests {
 
     #[test]
     fn net_builders_clamp_and_set() {
-        let addr: SocketAddr = "0.0.0.0:9090".parse().expect("literal addr");
         let o = ServeOpts::default()
-            .with_addr(addr)
             .with_max_conns(0)
             .with_read_timeout_ms(0)
             .with_idle_timeout_ms(0);
-        assert_eq!(o.addr, addr);
         assert_eq!(o.max_conns, 1);
         assert_eq!(o.read_timeout_ms, 1);
         assert_eq!(o.idle_timeout_ms, 1);

@@ -587,14 +587,7 @@ impl ProvingService {
             }
         };
         let id = req.id;
-        wall_event(
-            WallEventKind::Admitted,
-            id,
-            u64::from(tenant),
-            0,
-            req.arrival_ms,
-            0.0,
-        );
+        request_event(WallEventKind::Admitted, &req, 0, req.arrival_ms);
         self.ctrl_tx
             .send(Ctrl::Job(req))
             .map_err(|_| ServeError::Invariant("dispatcher is gone".into()))?;
@@ -644,6 +637,12 @@ impl ProvingService {
     }
 }
 
+/// Records a wall event about one request; only `Completed` carries a
+/// second operand (its latency), so every other kind goes through here.
+fn request_event(kind: WallEventKind, r: &Request, arg: u64, t_ms: f64) {
+    wall_event(kind, r.id, u64::from(r.tenant), arg, t_ms, 0.0);
+}
+
 /// One prover worker: receives batches, proves and verifies each
 /// request against its class's baked instance, reports completion
 /// records timed like the DES (whole batch shares start/finish).
@@ -687,14 +686,7 @@ fn worker_loop(
                 });
                 break;
             };
-            wall_event(
-                WallEventKind::ProveBegin,
-                r.id,
-                u64::from(r.tenant),
-                idx as u64,
-                inner.now_ms(),
-                0.0,
-            );
+            request_event(WallEventKind::ProveBegin, r, idx as u64, inner.now_ms());
             let proof = prove_with_config(
                 &a.pk,
                 &a.witness,
@@ -702,31 +694,10 @@ fn worker_loop(
                 ProverConfig { threads },
             );
             let prove_done = inner.now_ms();
-            wall_event(
-                WallEventKind::ProveEnd,
-                r.id,
-                u64::from(r.tenant),
-                idx as u64,
-                prove_done,
-                0.0,
-            );
-            wall_event(
-                WallEventKind::VerifyBegin,
-                r.id,
-                u64::from(r.tenant),
-                idx as u64,
-                prove_done,
-                0.0,
-            );
+            request_event(WallEventKind::ProveEnd, r, idx as u64, prove_done);
+            request_event(WallEventKind::VerifyBegin, r, idx as u64, prove_done);
             let ok = verify(&a.vk, &proof, &mut Transcript::new(DOMAIN)).is_ok();
-            wall_event(
-                WallEventKind::VerifyEnd,
-                r.id,
-                u64::from(r.tenant),
-                idx as u64,
-                inner.now_ms(),
-                0.0,
-            );
+            request_event(WallEventKind::VerifyEnd, r, idx as u64, inner.now_ms());
             if !ok {
                 verified = false;
                 let _ = ctrl.send(Ctrl::ProofRejected {
@@ -1014,23 +985,14 @@ impl Dispatcher<'_> {
     /// Emits what a rescue came to: a wake time, or the terminal loss.
     fn note_rescue(&mut self, rescue: Rescue, now: f64) {
         match rescue {
-            Rescue::Parked { req, wake_ms } => wall_event(
+            Rescue::Parked { req, wake_ms } => request_event(
                 WallEventKind::RetryParked,
-                req.id,
-                u64::from(req.tenant),
+                &req,
                 u64::from(req.attempts),
                 wake_ms,
-                0.0,
             ),
             Rescue::Lost(req) => {
-                wall_event(
-                    WallEventKind::Lost,
-                    req.id,
-                    u64::from(req.tenant),
-                    u64::from(req.attempts),
-                    now,
-                    0.0,
-                );
+                request_event(WallEventKind::Lost, &req, u64::from(req.attempts), now);
                 let lost = OutcomeRecord::unserved(&req, Outcome::Lost, now);
                 self.inner.stream_outcome(lost);
             }
@@ -1062,23 +1024,19 @@ impl Dispatcher<'_> {
                     .readmit(&mut adm.ledger, id, now, fresh_deadline)?
             };
             match readmit {
-                Readmit::Admitted(req) => wall_event(
+                Readmit::Admitted(req) => request_event(
                     WallEventKind::RetryAdmitted,
-                    req.id,
-                    u64::from(req.tenant),
+                    &req,
                     u64::from(req.attempts),
                     now,
-                    0.0,
                 ),
                 Readmit::Refused(rescue) => {
                     let (Rescue::Parked { req, .. } | Rescue::Lost(req)) = rescue;
-                    wall_event(
+                    request_event(
                         WallEventKind::RetryRejected,
-                        req.id,
-                        u64::from(req.tenant),
+                        &req,
                         u64::from(req.attempts),
                         now,
-                        0.0,
                     );
                     self.note_rescue(rescue, now);
                 }
@@ -1105,14 +1063,7 @@ impl Dispatcher<'_> {
         };
         for v in victims {
             self.life.acc.makespan_ms = self.life.acc.makespan_ms.max(now);
-            wall_event(
-                WallEventKind::Shed,
-                v.id,
-                u64::from(v.tenant),
-                u64::from(v.attempts),
-                now,
-                0.0,
-            );
+            request_event(WallEventKind::Shed, &v, u64::from(v.attempts), now);
             let shed = OutcomeRecord::unserved(&v, Outcome::Shed, now);
             self.inner.stream_outcome(shed);
         }
@@ -1148,14 +1099,7 @@ impl Dispatcher<'_> {
             };
             w.status = WorkerStatus::Busy;
             for r in &live {
-                wall_event(
-                    WallEventKind::Dispatched,
-                    r.id,
-                    u64::from(r.tenant),
-                    idx as u64,
-                    now,
-                    0.0,
-                );
+                request_event(WallEventKind::Dispatched, r, idx as u64, now);
             }
             if w.tx
                 .send(Work::Batch {

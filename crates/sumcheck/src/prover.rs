@@ -42,11 +42,6 @@ pub struct SumCheckProof {
 }
 
 impl SumCheckProof {
-    /// Number of SumCheck rounds (µ).
-    pub fn num_rounds(&self) -> usize {
-        self.round_evals.len()
-    }
-
     /// Serialized proof size in bytes (32-byte field elements), the metric
     /// of the paper's Table IX.
     pub fn size_bytes(&self) -> usize {

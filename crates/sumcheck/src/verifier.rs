@@ -37,6 +37,14 @@ pub enum SumCheckError {
         /// Offending round (0-based).
         round: usize,
     },
+    /// The proof carries fewer final MLE evaluations than the composite
+    /// has slots.
+    MleEvalCountMismatch {
+        /// Evaluations present in the proof.
+        got: usize,
+        /// Slots of the composite ([`CompositePoly::num_mles`]).
+        expected: usize,
+    },
     /// The composite evaluated at the final point disagreed with the last
     /// round's claim.
     FinalEvaluationMismatch,
@@ -58,6 +66,12 @@ impl fmt::Display for SumCheckError {
             }
             Self::RoundSumMismatch { round } => {
                 write!(f, "round {round} evaluations do not sum to the claim")
+            }
+            Self::MleEvalCountMismatch { got, expected } => {
+                write!(
+                    f,
+                    "proof has {got} final MLE evaluations, expected at least {expected}"
+                )
             }
             Self::FinalEvaluationMismatch => {
                 write!(
@@ -104,6 +118,15 @@ pub fn verify(
         return Err(SumCheckError::RoundCountMismatch {
             got: proof.round_evals.len(),
             expected: num_vars,
+        });
+    }
+    // Callers may bind more tables than the composite reads (the extra
+    // evaluations are claims for them to discharge); fewer would leave
+    // a slot of the final evaluation without a value.
+    if proof.final_mle_evals.len() < poly.num_mles() {
+        return Err(SumCheckError::MleEvalCountMismatch {
+            got: proof.final_mle_evals.len(),
+            expected: poly.num_mles(),
         });
     }
 
@@ -236,6 +259,22 @@ mod tests {
         assert_eq!(
             verify(&poly, 4, &out.proof, &mut tv).unwrap_err(),
             SumCheckError::FinalEvaluationMismatch
+        );
+    }
+
+    #[test]
+    fn missing_final_eval_rejected_not_panicking() {
+        let (poly, mles) = setup(4, 8);
+        let mut tp = Transcript::new(b"rt");
+        let mut out = prove(&poly, mles, &mut tp);
+        out.proof.final_mle_evals.pop();
+        let mut tv = Transcript::new(b"rt");
+        assert_eq!(
+            verify(&poly, 4, &out.proof, &mut tv).unwrap_err(),
+            SumCheckError::MleEvalCountMismatch {
+                got: 2,
+                expected: 3
+            }
         );
     }
 

@@ -81,8 +81,10 @@ fn sponge_256(data: &[u8], domain: u8) -> [u8; 32] {
 
     let absorb_block = |state: &mut [u64; 25], block: &[u8]| {
         debug_assert_eq!(block.len(), RATE);
-        for (i, chunk) in block.chunks(8).enumerate() {
-            state[i] ^= u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        for (lane, chunk) in state.iter_mut().zip(block.chunks_exact(8)) {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            *lane ^= u64::from_le_bytes(word);
         }
         keccak_f(state);
     };

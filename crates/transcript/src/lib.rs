@@ -110,11 +110,6 @@ impl Transcript {
             })
             .collect()
     }
-
-    /// Derives 32 labeled challenge bytes (for non-field uses).
-    pub fn challenge_bytes(&mut self, label: &[u8]) -> [u8; 32] {
-        self.squeeze(label)
-    }
 }
 
 #[cfg(test)]

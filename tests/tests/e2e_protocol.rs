@@ -1,11 +1,30 @@
 //! Integration: end-to-end HyperPlonk across the whole stack, including
 //! attack scenarios that cut across crate boundaries.
 
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkphire_field::Fr;
-use zkphire_hyperplonk::{prove, setup, verify, Circuit, GateSystem, HyperPlonkError};
+use zkphire_hyperplonk::{
+    prove, setup, verify, Circuit, GateSystem, HyperPlonkError, HyperPlonkProof, VerifyingKey,
+};
 use zkphire_transcript::Transcript;
+
+/// One valid µ = 4 proof per gate system, built once for the tests that
+/// tamper with it.
+fn sample(system: GateSystem) -> &'static (VerifyingKey, HyperPlonkProof) {
+    static CELLS: [OnceLock<(VerifyingKey, HyperPlonkProof)>; 2] =
+        [OnceLock::new(), OnceLock::new()];
+    CELLS[usize::from(system == GateSystem::Jellyfish)].get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(0x7a3e);
+        let (circuit, witness) = Circuit::random(system, 4, 0.5, &mut rng);
+        let (pk, vk) = setup(circuit, &mut rng);
+        let proof = prove(&pk, &witness, &mut Transcript::new(b"e2e"));
+        (vk, proof)
+    })
+}
 
 #[test]
 fn both_gate_systems_roundtrip_at_several_sizes() {
@@ -101,4 +120,59 @@ fn proof_size_grows_logarithmically_with_circuit() {
         .collect();
     // 8x the gates must cost far less than 8x the proof bytes.
     assert!(sizes[1] < 2 * sizes[0], "{sizes:?}");
+}
+
+#[test]
+fn final_eval_count_mismatch_is_a_shape_error_not_a_panic() {
+    type Evals = fn(&mut HyperPlonkProof) -> &mut Vec<Fr>;
+    let sumchecks: [(&str, Evals); 3] = [
+        ("gate", |p| &mut p.gate_zerocheck.final_mle_evals),
+        ("perm", |p| &mut p.perm_zerocheck.final_mle_evals),
+        ("opencheck", |p| &mut p.opencheck.final_mle_evals),
+    ];
+    for system in [GateSystem::Vanilla, GateSystem::Jellyfish] {
+        let (vk, proof) = sample(system);
+        for (name, evals) in sumchecks {
+            for extra in [false, true] {
+                let mut bad = proof.clone();
+                if extra {
+                    evals(&mut bad).push(Fr::ONE);
+                } else {
+                    evals(&mut bad).pop();
+                }
+                assert_eq!(
+                    verify(vk, &bad, &mut Transcript::new(b"e2e")),
+                    Err(HyperPlonkError::ShapeMismatch),
+                    "{system:?} {name} with one {} final evaluation",
+                    if extra { "more" } else { "fewer" }
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Flipping any one byte of a valid proof's encoding is caught by
+    /// the decoder or the verifier — never a panic, never an accept.
+    #[test]
+    fn one_flipped_byte_never_decodes_and_verifies(
+        jellyfish in 0u8..2,
+        at in any::<u64>(),
+        mask in 0u8..255,
+    ) {
+        let mask = mask + 1;
+        let system = if jellyfish == 1 { GateSystem::Jellyfish } else { GateSystem::Vanilla };
+        let (vk, proof) = sample(system);
+        let mut bytes = proof.to_bytes();
+        let at = (at % bytes.len() as u64) as usize;
+        bytes[at] ^= mask;
+        if let Ok(decoded) = HyperPlonkProof::from_bytes(&bytes) {
+            prop_assert!(
+                verify(vk, &decoded, &mut Transcript::new(b"e2e")).is_err(),
+                "{system:?}: byte {at} ^ {mask:#04x} decoded and verified"
+            );
+        }
+    }
 }

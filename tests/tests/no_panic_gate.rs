@@ -1,13 +1,17 @@
-//! Source gate: the fleet engine, the serve front-end, and the
-//! telemetry layer hold a no-panic contract on their non-test code —
-//! anything that can go wrong comes back as a typed error (`SimError`,
-//! `ServeError`) or degrades silently (a recorder must never take the
-//! code it observes down), never an `.expect(...)` / `.unwrap()` panic
-//! that kills a simulation, the live service, or an instrumented
-//! prover thread.
+//! Source gate: the fleet engine, the serve front-end, the telemetry
+//! layer and the verifier side of the proof system hold a no-panic
+//! contract on their non-test code — anything that can go wrong comes
+//! back as a typed error (`SimError`, `ServeError`, `DecodeError`,
+//! `HyperPlonkError`, `SumCheckError`) or degrades silently (a recorder
+//! must never take the code it observes down), never an `.expect(...)` /
+//! `.unwrap()` panic that kills a simulation, the live service, an
+//! instrumented prover thread, or a verifier fed untrusted bytes.
 //!
 //! This scan is the enforcement: it walks `crates/fleet/src`,
-//! `crates/serve/src`, and `crates/telemetry/src`, strips test modules
+//! `crates/serve/src`, `crates/telemetry/src`, `crates/hyperplonk/src`,
+//! `crates/pcs/src` and `crates/transcript/src`, plus the SumCheck
+//! verifier's two files (the prover-side `plan.rs` / `prover.rs` /
+//! `zerocheck.rs` may assert on their own inputs), strips test modules
 //! and comments, and fails on any surviving `.expect(` or
 //! `.unwrap()`. Explicit
 //! `panic!`/`assert!` builder validations and the documented panicking
@@ -58,19 +62,28 @@ fn fleet_serve_and_telemetry_sources_never_panic_implicitly() {
         .parent()
         .expect("tests crate lives one level below the workspace root");
     let mut violations = Vec::new();
-    for crate_src in [
+    for src in [
         "crates/fleet/src",
         "crates/serve/src",
         "crates/telemetry/src",
+        "crates/hyperplonk/src",
+        "crates/pcs/src",
+        "crates/transcript/src",
+        "crates/sumcheck/src/verifier.rs",
+        "crates/sumcheck/src/interp.rs",
     ] {
-        let dir = repo_root.join(crate_src);
-        assert!(dir.is_dir(), "missing {}", dir.display());
-        scan_dir(&dir, &mut violations);
+        let path = repo_root.join(src);
+        if path.is_dir() {
+            scan_dir(&path, &mut violations);
+        } else {
+            assert!(path.is_file(), "missing {}", path.display());
+            scan_file(&path, &mut violations);
+        }
     }
     assert!(
         violations.is_empty(),
-        "implicit panic paths in no-panic crates (use typed SimError/ServeError \
-         returns instead):\n{}",
+        "implicit panic paths in no-panic code (return a typed error \
+         instead):\n{}",
         violations.join("\n")
     );
 }
