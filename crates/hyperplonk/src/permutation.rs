@@ -78,6 +78,10 @@ pub fn index_point(i: usize, num_vars: usize) -> Vec<Fr> {
 
 /// Builds the full wire-identity polynomial set.
 ///
+/// The prover builds the same tables in two steps at different times —
+/// [`Fractions::wiring`] before the permutation commitments,
+/// [`Fractions::tables`] just before the PermCheck that alone reads them.
+///
 /// # Panics
 ///
 /// Panics if the witness columns disagree in arity with σ, or if any
@@ -88,71 +92,125 @@ pub fn build_permutation_data(
     beta: Fr,
     gamma: Fr,
 ) -> PermutationData {
-    let w_cols = witness_columns.len();
-    let num_vars = witness_columns[0].num_vars();
-    let n = 1usize << num_vars;
-    assert_eq!(sigma.len(), w_cols * n, "sigma covers all cells");
-
-    let mut numerators = Vec::with_capacity(w_cols);
-    let mut denominators = Vec::with_capacity(w_cols);
-    for (k, w) in witness_columns.iter().enumerate() {
-        let num = Mle::from_fn(num_vars, |row| {
-            w.evals()[row] + beta * id_value(k, n, row) + gamma
-        });
-        let den = Mle::from_fn(num_vars, |row| {
-            w.evals()[row] + beta * Fr::from_u64(sigma[k * n + row] as u64) + gamma
-        });
-        numerators.push(num);
-        denominators.push(den);
-    }
-
-    // ϕ = Π N / Π D elementwise; denominators inverted in one batch
-    // (the Permutation Quotient Generator's ModInv pipeline).
-    let mut den_products: Vec<Fr> = (0..n)
-        .map(|row| denominators.iter().map(|d| d.evals()[row]).product::<Fr>())
-        .collect();
-    batch_inverse(&mut den_products);
-    let phi = Mle::from_fn(num_vars, |row| {
-        let num: Fr = numerators.iter().map(|m| m.evals()[row]).product();
-        assert!(
-            !den_products[row].is_zero(),
-            "zero denominator at row {row}; re-sample beta/gamma"
-        );
-        num * den_products[row]
-    });
-
-    // Grand-product tree: layer 0 = ϕ leaves; layer k halves layer k-1.
-    // π concatenates layers 1..µ then pads one final 1-entry; p1/p2 hold
-    // each node's children so that π(x) = p1(x) · p2(x) pointwise.
-    let mut pi_evals = Vec::with_capacity(n);
-    let mut p1_evals = Vec::with_capacity(n);
-    let mut p2_evals = Vec::with_capacity(n);
-    let mut layer: Vec<Fr> = phi.evals().to_vec();
-    while layer.len() > 1 {
-        let next: Vec<Fr> = (0..layer.len() / 2)
-            .map(|i| layer[2 * i] * layer[2 * i + 1])
-            .collect();
-        for i in 0..next.len() {
-            pi_evals.push(next[i]);
-            p1_evals.push(layer[2 * i]);
-            p2_evals.push(layer[2 * i + 1]);
-        }
-        layer = next;
-    }
-    // Pad to a full power-of-two table.
-    while pi_evals.len() < n {
-        pi_evals.push(Fr::ONE);
-        p1_evals.push(Fr::ONE);
-        p2_evals.push(Fr::ONE);
-    }
-
+    let fractions = Fractions::new(witness_columns, sigma, beta, gamma);
+    let (numerators, denominators) = fractions.tables();
+    let [phi, pi, p1, p2] = fractions.wiring();
     PermutationData {
         numerators,
         denominators,
         phi,
-        pi: Mle::new(pi_evals),
-        p1: Mle::new(p1_evals),
-        p2: Mle::new(p2_evals),
+        pi,
+        p1,
+        p2,
+    }
+}
+
+/// The entries of every `N_i` and `D_i`, computed on demand from the
+/// witness columns and σ.
+pub(crate) struct Fractions<'a> {
+    columns: &'a [Mle],
+    sigma: &'a [usize],
+    beta: Fr,
+    gamma: Fr,
+}
+
+impl<'a> Fractions<'a> {
+    /// # Panics
+    ///
+    /// Panics if the witness columns disagree in arity with σ.
+    pub(crate) fn new(columns: &'a [Mle], sigma: &'a [usize], beta: Fr, gamma: Fr) -> Self {
+        assert_eq!(
+            sigma.len(),
+            columns.len() * columns[0].len(),
+            "sigma covers all cells"
+        );
+        Self {
+            columns,
+            sigma,
+            beta,
+            gamma,
+        }
+    }
+
+    fn numerator(&self, k: usize, row: usize) -> Fr {
+        let n = self.columns[k].len();
+        self.columns[k].evals()[row] + self.beta * id_value(k, n, row) + self.gamma
+    }
+
+    fn denominator(&self, k: usize, row: usize) -> Fr {
+        let image = Fr::from_u64(self.sigma[k * self.columns[k].len() + row] as u64);
+        self.columns[k].evals()[row] + self.beta * image + self.gamma
+    }
+
+    /// The per-column tables `(N_i, D_i)`.
+    pub(crate) fn tables(&self) -> (Vec<Mle>, Vec<Mle>) {
+        let num_vars = self.columns[0].num_vars();
+        (0..self.columns.len())
+            .map(|k| {
+                (
+                    Mle::from_fn(num_vars, |row| self.numerator(k, row)),
+                    Mle::from_fn(num_vars, |row| self.denominator(k, row)),
+                )
+            })
+            .unzip()
+    }
+
+    /// The four committed wiring tables `[ϕ, π, p1, p2]`. ϕ's row
+    /// products are taken entry by entry, so no `N_i` / `D_i` table is
+    /// built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any denominator is zero.
+    pub(crate) fn wiring(&self) -> [Mle; 4] {
+        let columns = 0..self.columns.len();
+        let n = self.columns[0].len();
+
+        // ϕ = Π N / Π D elementwise; the denominator products are inverted
+        // in one batch (the Permutation Quotient Generator's ModInv
+        // pipeline) and become ϕ in place.
+        let mut phi: Vec<Fr> = (0..n)
+            .map(|row| columns.clone().map(|k| self.denominator(k, row)).product())
+            .collect();
+        batch_inverse(&mut phi);
+        for (row, entry) in phi.iter_mut().enumerate() {
+            assert!(
+                !entry.is_zero(),
+                "zero denominator at row {row}; re-sample beta/gamma"
+            );
+            let num: Fr = columns.clone().map(|k| self.numerator(k, row)).product();
+            *entry = num * *entry;
+        }
+
+        // Grand-product tree: layer 0 = ϕ leaves; layer k halves layer k-1.
+        // π concatenates layers 1..µ then pads one final 1-entry; p1/p2 hold
+        // each node's children so that π(x) = p1(x) · p2(x) pointwise.
+        let mut pi = Vec::with_capacity(n);
+        let mut p1 = Vec::with_capacity(n);
+        let mut p2 = Vec::with_capacity(n);
+        let mut node = |pi: &mut Vec<Fr>, left: Fr, right: Fr| {
+            pi.push(left * right);
+            p1.push(left);
+            p2.push(right);
+        };
+        for pair in phi.chunks_exact(2) {
+            node(&mut pi, pair[0], pair[1]);
+        }
+        // Each later layer reads the one before it from π itself.
+        let mut layer = 0;
+        while pi.len() - layer > 1 {
+            let end = pi.len();
+            for j in (layer..end).step_by(2) {
+                let (left, right) = (pi[j], pi[j + 1]);
+                node(&mut pi, left, right);
+            }
+            layer = end;
+        }
+        // Pad to a full power-of-two table.
+        pi.resize(n, Fr::ONE);
+        p1.resize(n, Fr::ONE);
+        p2.resize(n, Fr::ONE);
+        [phi, pi, p1, p2].map(Mle::new)
     }
 }
 

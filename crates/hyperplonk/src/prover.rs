@@ -9,17 +9,39 @@
 //!    polynomial at every challenge point;
 //! 5. **Polynomial Opening** — the OpenCheck SumCheck that merges all
 //!    claims into one point, an MLE Combine, and a single PCS opening.
+//!
+//! # Which tables exist when
+//!
+//! The three SumChecks stream their tables as the hardware does: round 1
+//! reads each bound table once and writes a half-size copy, later rounds
+//! fold those copies in place (`zkphire_sumcheck::prove_borrowed`).
+//! Nothing committed is ever copied whole:
+//!
+//! * the gate ZeroCheck *borrows* the selector and witness tables, and
+//!   builds its own `f_r` table;
+//! * ϕ, π, p1, p2 are built (ϕ straight from the witness and σ) and
+//!   committed; only then are the `2W` numerator and denominator tables
+//!   `N_i`, `D_i` built, and the PermCheck *owns* them — it frees each as
+//!   soon as its half is written — while it *borrows* ϕ, π, p1, p2. No
+//!   `N_i` / `D_i` outlives the PermCheck;
+//! * Batch Evaluations read the witness and σ tables in place
+//!   (`Mle::evaluate` copies only a half-size table);
+//! * the OpenCheck *borrows* all `k_p` committed tables and owns its three
+//!   `eq` tables; the MLE Combine reads the same borrowed tables; ϕ, π,
+//!   p1, p2 are freed before the opening, which reads only `g`.
+
+use std::borrow::Cow;
 
 use zkphire_field::Fr;
 use zkphire_pcs::Commitment;
 use zkphire_poly::{CompositePoly, Mle, MleId, Term};
-use zkphire_sumcheck::{prove_with_threads as sumcheck_prove, prove_zero_check_with_threads};
+use zkphire_sumcheck::{prove_borrowed, prove_zero_check_borrowed};
 use zkphire_telemetry as tele;
 use zkphire_transcript::Transcript;
 
 use crate::circuit::{GateSystem, Witness};
 use crate::keys::ProvingKey;
-use crate::permutation::{build_permutation_data, index_point, root_index};
+use crate::permutation::{index_point, root_index, Fractions};
 use crate::proof::{claim_layout, num_distinct_polys, HyperPlonkProof, NUM_POINTS};
 
 /// Builds the OpenCheck composite: claim `j` contributes
@@ -135,13 +157,11 @@ pub fn prove_with_config(
     // Step 2 — Gate Identity ZeroCheck.
     let gate_span = tele::span("prove/gate_zerocheck");
     let gate = system.gate();
-    let mut gate_mles: Vec<Mle> = pk.circuit.selectors.clone();
-    gate_mles.extend(witness.columns.iter().cloned());
-    gate_mles.push(Mle::zero(mu)); // f_r placeholder, filled by ZeroCheck
-    let (gate_out, _) = prove_zero_check_with_threads(
+    let columns = pk.circuit.selectors.iter().chain(&witness.columns);
+    let (gate_out, _) = prove_zero_check_borrowed(
         &gate.poly,
         system.gate_eq_slot(),
-        gate_mles,
+        columns.map(Cow::Borrowed).collect(),
         transcript,
         threads,
     );
@@ -152,31 +172,24 @@ pub fn prove_with_config(
     let perm_span = tele::span("prove/permcheck");
     let beta = transcript.challenge_fr(b"hyperplonk/beta");
     let gamma = transcript.challenge_fr(b"hyperplonk/gamma");
-    let perm = build_permutation_data(&witness.columns, &pk.circuit.sigma, beta, gamma);
-    let perm_commitments = [
-        pk.pcs.commit_with_threads(&perm.phi, threads),
-        pk.pcs.commit_with_threads(&perm.pi, threads),
-        pk.pcs.commit_with_threads(&perm.p1, threads),
-        pk.pcs.commit_with_threads(&perm.p2, threads),
-    ];
+    let fractions = Fractions::new(&witness.columns, &pk.circuit.sigma, beta, gamma);
+    let [phi, pi, p1, p2] = fractions.wiring();
+    let perm_commitments = [&phi, &pi, &p1, &p2].map(|t| pk.pcs.commit_with_threads(t, threads));
     for c in &perm_commitments {
         transcript.append_bytes(b"hyperplonk/perm", &c.to_bytes());
     }
     let alpha = transcript.challenge_fr(b"hyperplonk/alpha");
     let perm_poly = system.perm_gate().poly.specialize(&[alpha]);
-    let mut perm_mles = vec![
-        perm.pi.clone(),
-        perm.p1.clone(),
-        perm.p2.clone(),
-        perm.phi.clone(),
-    ];
-    perm_mles.extend(perm.denominators.iter().cloned());
-    perm_mles.extend(perm.numerators.iter().cloned());
-    perm_mles.push(Mle::zero(mu)); // f_r placeholder
-    let (perm_out, _) = prove_zero_check_with_threads(
+    // N_i / D_i exist from here into the PermCheck's first round, which
+    // frees each once its half is written.
+    let (numerators, denominators) = fractions.tables();
+    let mut perm_tables: Vec<Cow<'_, Mle>> = [&pi, &p1, &p2, &phi].map(Cow::Borrowed).into();
+    perm_tables.extend(denominators.into_iter().map(Cow::Owned));
+    perm_tables.extend(numerators.into_iter().map(Cow::Owned));
+    let (perm_out, _) = prove_zero_check_borrowed(
         &perm_poly,
         system.perm_eq_slot(),
-        perm_mles,
+        perm_tables,
         transcript,
         threads,
     );
@@ -208,22 +221,19 @@ pub fn prove_with_config(
     // Every committed table, in `claim_layout` slot order.
     let committed = || {
         let columns = pk.circuit.selectors.iter().chain(&witness.columns);
-        let wiring = pk
-            .sigma_mles
-            .iter()
-            .chain([&perm.phi, &perm.pi, &perm.p1, &perm.p2]);
+        let wiring = pk.sigma_mles.iter().chain([&phi, &pi, &p1, &p2]);
         columns.chain(wiring)
     };
     let oc_out = {
         let _oc_span = tele::span("prove/opencheck");
         let etas = transcript.challenge_frs(b"hyperplonk/opencheck/eta", layout.len());
         let oc_poly = opencheck_composite(system, &etas);
-        let mut oc_mles: Vec<Mle> = Vec::with_capacity(k_p + NUM_POINTS);
-        oc_mles.extend(committed().cloned());
-        oc_mles.push(Mle::eq_table(&x_zc));
-        oc_mles.push(Mle::eq_table(&x_pc));
-        oc_mles.push(Mle::eq_table(&index_point(root_index(n), mu)));
-        sumcheck_prove(&oc_poly, oc_mles, transcript, threads)
+        let mut oc_tables: Vec<Cow<'_, Mle>> = Vec::with_capacity(k_p + NUM_POINTS);
+        oc_tables.extend(committed().map(Cow::Borrowed));
+        oc_tables.push(Cow::Owned(Mle::eq_table(&x_zc)));
+        oc_tables.push(Cow::Owned(Mle::eq_table(&x_pc)));
+        oc_tables.push(Cow::Owned(Mle::eq_table(&index_point(root_index(n), mu))));
+        prove_borrowed(&oc_poly, oc_tables, transcript, threads)
     };
 
     // MLE Combine: g = Σ ζ_i poly_i, opened once.
@@ -235,7 +245,7 @@ pub fn prove_with_config(
     };
     // The opening reads `g` alone, and a small prove's heap peaks inside
     // its MSMs: release the permutation tables before it starts.
-    drop(perm);
+    drop((phi, pi, p1, p2));
     let (opening, opening_value) = {
         let _s = tele::span("prove/opening/pcs_open");
         pk.pcs.open_with_threads(&g, &oc_out.challenges, threads)

@@ -33,6 +33,8 @@
 //! assert!(verifier.verify(&commitment, &point, value, &proof));
 //! ```
 
+use std::borrow::Cow;
+
 use rand::Rng;
 use zkphire_curve::{batch_normalize, msm, msm_with_ops_threads, G1Affine, G1Projective};
 use zkphire_field::Fr;
@@ -158,21 +160,25 @@ impl MultilinearKzg {
     ///
     /// The quotient computation is the MLE-Update dataflow: at step `i` the
     /// quotient is the pairwise-difference table and the polynomial is
-    /// halved by fixing `X_i = z_i`.
+    /// halved by fixing `X_i = z_i`. Step 1 reads `mle` in place and writes
+    /// the first half-size table, later steps fold that one in place, and
+    /// every quotient reuses one buffer.
     pub fn open_with_threads(&self, mle: &Mle, point: &[Fr], threads: usize) -> (OpeningProof, Fr) {
         let _s = tele::span("pcs/open");
         assert_eq!(point.len(), mle.num_vars(), "opening point arity");
         let offset = self.num_vars - mle.num_vars();
-        let mut current = mle.clone();
+        let mut current = Cow::Borrowed(mle);
+        let mut q = Vec::with_capacity(mle.len() / 2);
         let mut quotients = Vec::with_capacity(point.len());
         for (i, &z) in point.iter().enumerate() {
-            let half = current.len() / 2;
-            let q: Vec<Fr> = (0..half)
-                .map(|j| current.evals()[2 * j + 1] - current.evals()[2 * j])
-                .collect();
+            q.clear();
+            q.extend(current.evals().chunks_exact(2).map(|f| f[1] - f[0]));
             let level = &self.levels[offset + i + 1];
             quotients.push(msm_with_ops_threads(level, &q, threads).0);
-            current = current.fix_first_variable(z);
+            match &mut current {
+                Cow::Owned(table) => table.fold_in_place(z, 1),
+                Cow::Borrowed(_) => current = Cow::Owned(mle.fix_first_variable(z)),
+            }
         }
         // One shared inversion brings all µ quotient commitments to affine.
         let quotients = batch_normalize(&quotients);

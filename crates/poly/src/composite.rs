@@ -7,6 +7,8 @@
 //! drives both the functional SumCheck prover and the hardware scheduler,
 //! so operation counts can be cross-validated between them.
 
+use std::borrow::Borrow;
+
 use crate::mle::Mle;
 use zkphire_field::Fr;
 
@@ -188,12 +190,13 @@ impl CompositePoly {
         }
     }
 
-    /// Checks that a binding supplies every MLE slot with equal arity.
+    /// Checks that a binding — owned or borrowed tables — supplies every
+    /// MLE slot with equal arity.
     ///
     /// # Panics
     ///
     /// Panics on arity mismatch or missing slots (programming errors).
-    pub fn validate_binding(&self, mles: &[Mle]) {
+    pub fn validate_binding<M: Borrow<Mle>>(&self, mles: &[M]) {
         assert!(
             mles.len() >= self.num_mles,
             "composite references {} MLEs but {} were bound",
@@ -204,8 +207,8 @@ impl CompositePoly {
         if let Some(first) = mles.first() {
             for (i, m) in mles.iter().enumerate() {
                 assert_eq!(
-                    m.num_vars(),
-                    first.num_vars(),
+                    m.borrow().num_vars(),
+                    first.borrow().num_vars(),
                     "MLE {i} arity differs from MLE 0"
                 );
             }

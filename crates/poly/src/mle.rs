@@ -158,24 +158,60 @@ impl Mle {
         }
     }
 
+    /// [`fix_first_variable_par`](Self::fix_first_variable_par) in place:
+    /// entry `j` of the folded table reads only entries `2j` and `2j + 1`,
+    /// so it may overwrite entry `j`. The table keeps its allocation and
+    /// shrinks to half its length, bit-identical to the copying fold for
+    /// every `threads`.
+    ///
+    /// Above ~2^12 pairs, workers fold disjoint chunks into the front of
+    /// their own chunk, and the folded runs are then moved down next to
+    /// each other.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called on a zero-variable MLE.
+    pub fn fold_in_place(&mut self, r: Fr, threads: usize) {
+        assert!(self.num_vars > 0, "cannot fix a variable of a constant");
+        let half = self.evals.len() / 2;
+        if threads <= 1 || half < (1 << 12) {
+            fold_pairs(&mut self.evals, r);
+        } else {
+            let chunk = 2 * half.div_ceil(threads);
+            std::thread::scope(|scope| {
+                for pairs in self.evals.chunks_mut(chunk) {
+                    scope.spawn(move || fold_pairs(pairs, r));
+                }
+            });
+            // Run `t` starts at `t * chunk` and belongs at `t * chunk / 2`;
+            // moved in order, no run overwrites one still to be moved.
+            for start in (chunk..self.evals.len()).step_by(chunk) {
+                let len = (self.evals.len() - start).min(chunk) / 2;
+                self.evals.copy_within(start..start + len, start / 2);
+            }
+        }
+        self.evals.truncate(half);
+        self.num_vars -= 1;
+    }
+
     /// Evaluates the multilinear extension at an arbitrary field point.
+    ///
+    /// The first fold reads this table and writes a half-size one; every
+    /// later fold is in place, so the table is never copied whole.
     ///
     /// # Panics
     ///
     /// Panics if `point.len() != num_vars`.
     pub fn evaluate(&self, point: &[Fr]) -> Fr {
         assert_eq!(point.len(), self.num_vars, "point arity mismatch");
-        let mut table = self.evals.clone();
-        for &r in point {
-            let half = table.len() / 2;
-            for i in 0..half {
-                let f0 = table[2 * i];
-                let f1 = table[2 * i + 1];
-                table[i] = f0 + r * (f1 - f0);
-            }
-            table.truncate(half);
+        let Some((&r, rest)) = point.split_first() else {
+            return self.evals[0];
+        };
+        let mut table = self.fix_first_variable(r);
+        for &r in rest {
+            table.fold_in_place(r, 1);
         }
-        table[0]
+        table.evals[0]
     }
 
     /// Builds the `eq(x, r)` MLE — the paper's *Build MLE* kernel, used to
@@ -218,6 +254,14 @@ impl Mle {
             .filter(|e| e.is_zero() || e.is_one())
             .count();
         binary as f64 / self.evals.len() as f64
+    }
+}
+
+/// Folds the pairs of `table` at `r` into its first half.
+fn fold_pairs(table: &mut [Fr], r: Fr) {
+    for j in 0..table.len() / 2 {
+        let (f0, f1) = (table[2 * j], table[2 * j + 1]);
+        table[j] = f0 + r * (f1 - f0);
     }
 }
 
@@ -268,6 +312,23 @@ mod tests {
                     expected,
                     "num_vars={num_vars} threads={threads}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fold_in_place_matches_fix_first_variable() {
+        // µ = 13 is the first size whose 2^12 pairs take the chunked path;
+        // 3 workers leave a short last chunk.
+        let mut rng = StdRng::seed_from_u64(22);
+        for num_vars in 1usize..=13 {
+            let f = random_mle(num_vars, 40 + num_vars as u64);
+            let r = Fr::random(&mut rng);
+            let expected = f.fix_first_variable(r);
+            for threads in [1usize, 2, 3, 8] {
+                let mut folded = f.clone();
+                folded.fold_in_place(r, threads);
+                assert_eq!(folded, expected, "num_vars={num_vars} threads={threads}");
             }
         }
     }

@@ -8,7 +8,11 @@
 //! * [`prove`] — multithreaded prover (the repository's real CPU
 //!   baseline), running a round schedule compiled once per prove: each
 //!   term at its own `degree + 1` points, zero lines skipped, `f_r`
-//!   factored out;
+//!   factored out. Round 1 reads every table once and writes a half-size
+//!   copy, later rounds fold those copies in place; an owned table is
+//!   freed as soon as its half is written, and [`prove_borrowed`] /
+//!   [`prove_zero_check_borrowed`] take tables the caller keeps, which
+//!   are never copied whole;
 //! * [`prove_instrumented`] — single-threaded reference that runs the
 //!   modelled per-pair dataflow and counts every field operation,
 //!   validating the analytical [`count_ops`] oracle shared with the
@@ -20,9 +24,11 @@
 //! # Examples
 //!
 //! ```
+//! use std::borrow::Cow;
+//!
 //! use zkphire_field::Fr;
 //! use zkphire_poly::{expr::var, Mle};
-//! use zkphire_sumcheck::{prove, verify_with_oracle};
+//! use zkphire_sumcheck::{prove_borrowed, verify_with_oracle};
 //! use zkphire_transcript::Transcript;
 //!
 //! let f = (var(0) * var(1)).expand();
@@ -30,8 +36,9 @@
 //! let b = Mle::new((8..16).map(Fr::from_u64).collect());
 //! let mles = vec![a, b];
 //!
+//! // The prover borrows the tables, so the oracle check can read them after.
 //! let mut tp = Transcript::new(b"doc");
-//! let out = prove(&f, mles.clone(), &mut tp);
+//! let out = prove_borrowed(&f, mles.iter().map(Cow::Borrowed).collect(), &mut tp, 1);
 //!
 //! let mut tv = Transcript::new(b"doc");
 //! verify_with_oracle(&f, &mles, &out.proof, &mut tv).expect("verifies");
@@ -46,6 +53,11 @@ pub mod zerocheck;
 
 pub use interp::{interpolate_at, BarycentricWeights};
 pub use ops::{coeff_needs_mul, count_ops, product_muls_per_pair, SumcheckOps};
-pub use prover::{prove, prove_instrumented, prove_with_threads, ProverOutput, SumCheckProof};
+pub use prover::{
+    prove, prove_borrowed, prove_instrumented, prove_with_threads, ProverOutput, SumCheckProof,
+};
 pub use verifier::{verify, verify_with_oracle, SumCheckError, VerifiedSumCheck};
-pub use zerocheck::{eq_eval, prove_zero_check, prove_zero_check_with_threads, verify_zero_check};
+pub use zerocheck::{
+    eq_eval, prove_zero_check, prove_zero_check_borrowed, prove_zero_check_with_threads,
+    verify_zero_check,
+};

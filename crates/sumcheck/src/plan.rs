@@ -34,6 +34,8 @@
 //! pair ranges into their own class sums, which are reduced in worker
 //! order before the one extension.
 
+use std::borrow::Cow;
+
 use zkphire_field::Fr;
 use zkphire_poly::{CompositePoly, Mle};
 
@@ -205,7 +207,7 @@ impl RoundPlan {
     /// `threads >= 1` workers; `scratch` grows to one entry per worker used.
     pub(crate) fn round_evals(
         &self,
-        mles: &[Mle],
+        mles: &[Cow<'_, Mle>],
         scratch: &mut Vec<Scratch>,
         threads: usize,
     ) -> Vec<Fr> {
@@ -250,7 +252,12 @@ impl RoundPlan {
     }
 
     /// Sums every class over the pairs of `range` into `s.acc`.
-    fn accumulate_range(&self, mles: &[Mle], range: std::ops::Range<usize>, s: &mut Scratch) {
+    fn accumulate_range(
+        &self,
+        mles: &[Cow<'_, Mle>],
+        range: std::ops::Range<usize>,
+        s: &mut Scratch,
+    ) {
         s.acc.fill(Fr::ZERO);
         for j in range {
             self.accumulate_pair(mles, j, s);
@@ -260,7 +267,7 @@ impl RoundPlan {
     /// Adds pair `j` (entries `2j`, `2j + 1` of every table) to the class
     /// sums.
     #[inline]
-    fn accumulate_pair(&self, mles: &[Mle], j: usize, s: &mut Scratch) {
+    fn accumulate_pair(&self, mles: &[Cow<'_, Mle>], j: usize, s: &mut Scratch) {
         let k = self.k;
         let Scratch {
             ext,

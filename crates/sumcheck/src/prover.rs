@@ -6,10 +6,18 @@
 //! `X_i = 0..=d`, hashes those evaluations into the transcript to derive
 //! the challenge, and halves every MLE with the *MLE Update* kernel.
 //!
+//! The tables stream as they do through the hardware (§III-E): round 1
+//! reads each bound table once and writes a half-size copy the prover
+//! owns, and every later round folds those copies in place (entry `j`
+//! reads only `2j` and `2j + 1`). A binding is a `Vec<Cow<Mle>>`: a
+//! borrowed table is never copied whole, and an owned one is freed as soon
+//! as its half is written. [`prove_borrowed`] takes that binding;
+//! [`prove`] / [`prove_with_threads`] wrap it for an owned `Vec<Mle>`.
+//!
 //! Two evaluators produce the same round polynomials, bit for bit:
 //!
-//! * [`prove`] / [`prove_with_threads`], the production path and the
-//!   repo's real CPU baseline, run the schedule of [`plan`](crate::plan):
+//! * [`prove_borrowed`] (and the owned wrappers), the production path and
+//!   the repo's real CPU baseline, runs the schedule of [`plan`](crate::plan):
 //!   compiled once per prove, each term evaluated at its own
 //!   `degree + 1` points, zero lines skipped, `f_r` factored out.
 //! * [`prove_instrumented`] runs the dataflow the accelerator model costs,
@@ -19,6 +27,8 @@
 //!   multiplied at every point (the Product Lanes). It counts each field
 //!   operation, validates [`count_ops`](crate::count_ops), and is the
 //!   differential oracle of the production evaluator.
+
+use std::borrow::Cow;
 
 use zkphire_field::Fr;
 use zkphire_poly::{CompositePoly, Mle};
@@ -64,8 +74,10 @@ pub struct ProverOutput {
 /// core. See [`prove_with_threads`] for an explicit thread count.
 ///
 /// `mles` must bind every slot of `poly` (see
-/// [`CompositePoly::validate_binding`]); the tables are consumed (they are
-/// halved each round, exactly like the streamed tables in hardware).
+/// [`CompositePoly::validate_binding`]). The tables are consumed: each is
+/// freed as soon as round 1 has written its half-size copy, which later
+/// rounds fold in place. [`prove_borrowed`] proves over tables the caller
+/// keeps.
 ///
 /// # Panics
 ///
@@ -88,13 +100,32 @@ pub fn prove_with_threads(
     transcript: &mut Transcript,
     threads: usize,
 ) -> ProverOutput {
+    prove_borrowed(poly, owned(mles), transcript, threads)
+}
+
+/// [`prove_with_threads`] over a binding whose tables may be borrowed.
+///
+/// Round 1 reads a borrowed table in place and never copies it whole; an
+/// owned one is freed once its half-size copy is written. Proofs and
+/// transcripts equal those of the owned entry points bit for bit.
+pub fn prove_borrowed(
+    poly: &CompositePoly,
+    tables: Vec<Cow<'_, Mle>>,
+    transcript: &mut Transcript,
+    threads: usize,
+) -> ProverOutput {
     let threads = threads.max(1);
     // Compiled and allocated once per prove, not per round.
     let plan = RoundPlan::new(poly);
     let mut scratch = Vec::new();
-    prove_inner(poly, mles, transcript, threads, |mles| {
-        plan.round_evals(mles, &mut scratch, threads)
+    prove_inner(poly, tables, transcript, threads, |tables| {
+        plan.round_evals(tables, &mut scratch, threads)
     })
+}
+
+/// An owned binding in the form [`prove_borrowed`] takes.
+pub(crate) fn owned(mles: Vec<Mle>) -> Vec<Cow<'static, Mle>> {
+    mles.into_iter().map(Cow::Owned).collect()
 }
 
 /// Single-threaded reference prover: the modelled schedule, operation for
@@ -106,10 +137,10 @@ pub fn prove_instrumented(
     transcript: &mut Transcript,
 ) -> (ProverOutput, SumcheckOps) {
     let mut ops = SumcheckOps::default();
-    let out = prove_inner(poly, mles, transcript, 1, |mles| {
-        let evals = round_evals_counted(poly, mles, &mut ops);
+    let out = prove_inner(poly, owned(mles), transcript, 1, |tables| {
+        let evals = round_evals_counted(poly, tables, &mut ops);
         // The MLE Update that follows the round.
-        for m in mles {
+        for m in tables {
             ops.update_muls += (m.len() / 2) as u64;
             ops.adds += m.len() as u64; // diff + add per surviving entry
         }
@@ -123,13 +154,13 @@ pub fn prove_instrumented(
 /// challenge.
 fn prove_inner(
     poly: &CompositePoly,
-    mut mles: Vec<Mle>,
+    mut tables: Vec<Cow<'_, Mle>>,
     transcript: &mut Transcript,
     threads: usize,
-    mut round_evals: impl FnMut(&[Mle]) -> Vec<Fr>,
+    mut round_evals: impl FnMut(&[Cow<'_, Mle>]) -> Vec<Fr>,
 ) -> ProverOutput {
-    poly.validate_binding(&mles);
-    let num_vars = mles.first().expect("at least one MLE").num_vars();
+    poly.validate_binding(&tables);
+    let num_vars = tables.first().expect("at least one MLE").num_vars();
     assert!(num_vars >= 1, "SumCheck needs at least one variable");
     let degree = poly.degree();
 
@@ -144,7 +175,7 @@ fn prove_inner(
         // Spans live on the orchestrating thread only; the scoped round
         // workers stay span-free so recording never perturbs them.
         let _round_span = tele::span("sumcheck/round");
-        let evals = round_evals(&mles);
+        let evals = round_evals(&tables);
         if round == 0 {
             claimed_sum = evals[0] + evals[1];
             transcript.append_fr(b"sumcheck/claim", &claimed_sum);
@@ -155,10 +186,10 @@ fn prove_inner(
         challenges.push(r);
 
         let _fold_span = tele::span("sumcheck/fold");
-        fold_mles(&mut mles, r, threads);
+        fold_tables(&mut tables, r, round == 0, threads);
     }
 
-    let final_mle_evals = mles.iter().map(|m| m.evals()[0]).collect();
+    let final_mle_evals = tables.iter().map(|m| m.evals()[0]).collect();
     ProverOutput {
         proof: SumCheckProof {
             claimed_sum,
@@ -174,7 +205,7 @@ fn prove_inner(
 /// `sums`.
 fn accumulate_pair(
     poly: &CompositePoly,
-    mles: &[Mle],
+    mles: &[Cow<'_, Mle>],
     unique: &[usize],
     j: usize,
     ext: &mut [Vec<Fr>],
@@ -226,36 +257,50 @@ fn accumulate_pair(
 
 /// The paper's *MLE Update* kernel over the whole binding: every table is
 /// halved at the round challenge, parallelized across (and, when the slot
-/// count is small, within) the MLEs.
-fn fold_mles(mles: &mut [Mle], r: Fr, threads: usize) {
+/// count is small, within) the tables.
+fn fold_tables(tables: &mut [Cow<'_, Mle>], r: Fr, first: bool, threads: usize) {
     // Below ~2^13 total entries the folds cost less than spawning.
-    let total: usize = mles.iter().map(Mle::len).sum();
+    let total: usize = tables.iter().map(|m| m.len()).sum();
     if threads <= 1 || total < (1 << 13) {
-        for m in mles.iter_mut() {
-            *m = m.fix_first_variable(r);
+        for table in tables.iter_mut() {
+            fold_table(table, r, first, 1);
         }
-    } else if mles.len() >= threads {
+    } else if tables.len() >= threads {
         // Enough slots to keep every worker busy on whole tables.
-        let chunk = mles.len().div_ceil(threads);
+        let chunk = tables.len().div_ceil(threads);
         std::thread::scope(|scope| {
-            for group in mles.chunks_mut(chunk) {
+            for group in tables.chunks_mut(chunk) {
                 scope.spawn(move || {
-                    for m in group {
-                        *m = m.fix_first_variable(r);
+                    for table in group {
+                        fold_table(table, r, first, 1);
                     }
                 });
             }
         });
     } else {
         // Few large tables: split each fold across the workers instead.
-        for m in mles.iter_mut() {
-            *m = m.fix_first_variable_par(r, threads);
+        for table in tables.iter_mut() {
+            fold_table(table, r, first, threads);
         }
     }
 }
 
+/// Halves one table at `r`. The `first` fold reads the original and
+/// writes the prover's half-size copy — assigning it drops an owned
+/// original there and then; every later fold is in place.
+fn fold_table(table: &mut Cow<'_, Mle>, r: Fr, first: bool, threads: usize) {
+    match table {
+        Cow::Owned(m) if !first => m.fold_in_place(r, threads),
+        _ => *table = Cow::Owned(table.fix_first_variable_par(r, threads)),
+    }
+}
+
 /// The reference round: every pair through [`accumulate_pair`].
-fn round_evals_counted(poly: &CompositePoly, mles: &[Mle], ops: &mut SumcheckOps) -> Vec<Fr> {
+fn round_evals_counted(
+    poly: &CompositePoly,
+    mles: &[Cow<'_, Mle>],
+    ops: &mut SumcheckOps,
+) -> Vec<Fr> {
     // At least two evaluation points: the verifier always checks
     // s(0) + s(1), even for a degree-0 composite.
     let k = poly.degree().max(1) + 1;
@@ -327,19 +372,22 @@ mod tests {
         assert_eq!(out1.challenges, out2.challenges);
     }
 
-    /// Production evaluator at each thread count against the reference:
-    /// same proof, same challenges.
+    /// Production evaluator, on owned and on borrowed tables, at each
+    /// thread count against the reference: same proof, same challenges.
     fn assert_matches_reference(poly: &CompositePoly, mles: &[Mle], threads: &[usize], what: &str) {
         let mut t = Transcript::new(b"test");
         let (reference, _) = prove_instrumented(poly, mles.to_vec(), &mut t);
         for &threads in threads {
             let mut t = Transcript::new(b"test");
-            let out = prove_with_threads(poly, mles.to_vec(), &mut t, threads);
-            assert_eq!(out.proof, reference.proof, "{what}, threads={threads}");
-            assert_eq!(
-                out.challenges, reference.challenges,
-                "{what}, threads={threads}"
-            );
+            let owned = prove_with_threads(poly, mles.to_vec(), &mut t, threads);
+            let mut t = Transcript::new(b"test");
+            let tables = mles.iter().map(Cow::Borrowed).collect();
+            let borrowed = prove_borrowed(poly, tables, &mut t, threads);
+            for (out, how) in [(owned, "owned"), (borrowed, "borrowed")] {
+                let what = format!("{what}, {how}, threads={threads}");
+                assert_eq!(out.proof, reference.proof, "{what}");
+                assert_eq!(out.challenges, reference.challenges, "{what}");
+            }
         }
     }
 
@@ -392,7 +440,7 @@ mod tests {
                 // An unbound composite (degree 0) still needs one table
                 // to fix the hypercube.
                 let mles = random_mles(poly.num_mles().max(1), num_vars, 5);
-                assert_matches_reference(&poly, &mles, &[2], what);
+                assert_matches_reference(&poly, &mles, &[1, 2, 3], what);
             }
         }
     }

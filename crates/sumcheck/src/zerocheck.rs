@@ -6,13 +6,17 @@
 //! `f_r` in the paper) so any violation is caught with overwhelming
 //! probability (§III-F). In hardware this auxiliary polynomial is fused
 //! into the first SumCheck round by the Build-MLE lane; here it is built
-//! explicitly with [`Mle::eq_table`].
+//! explicitly with [`Mle::eq_table`] and bound by the prover itself, so a
+//! caller never allocates a table for that slot
+//! ([`prove_zero_check_borrowed`]).
+
+use std::borrow::Cow;
 
 use zkphire_field::Fr;
 use zkphire_poly::{CompositePoly, Mle, MleId};
 use zkphire_transcript::Transcript;
 
-use crate::prover::{prove_with_threads, ProverOutput};
+use crate::prover::{owned, prove_borrowed, ProverOutput};
 use crate::verifier::{verify, SumCheckError, VerifiedSumCheck};
 
 /// Evaluates `eq(x, r) = Π_j (x_j r_j + (1 - x_j)(1 - r_j))` at field
@@ -52,7 +56,8 @@ pub fn prove_zero_check(
 }
 
 /// [`prove_zero_check`] with an explicit worker-thread count (see
-/// [`prove_with_threads`]); transcripts are identical for every count.
+/// [`prove_with_threads`](crate::prove_with_threads)); transcripts are
+/// identical for every count.
 pub fn prove_zero_check_with_threads(
     gate: &CompositePoly,
     eq_slot: MleId,
@@ -60,10 +65,31 @@ pub fn prove_zero_check_with_threads(
     transcript: &mut Transcript,
     threads: usize,
 ) -> (ProverOutput, Vec<Fr>) {
-    let num_vars = mles.first().expect("at least one MLE").num_vars();
+    // The placeholder is dropped before the prover allocates anything.
+    mles.remove(eq_slot.0);
+    prove_zero_check_borrowed(gate, eq_slot, owned(mles), transcript, threads)
+}
+
+/// [`prove_zero_check_with_threads`] over a binding of every slot *except*
+/// `eq_slot`, in slot order, whose tables may be borrowed (see
+/// [`prove_borrowed`]): the `eq(x, r)` table is built from the transcript
+/// and inserted at `eq_slot`, so that slot costs the caller nothing.
+/// Proofs and transcripts equal those of the owned entry points.
+///
+/// # Panics
+///
+/// Panics if `tables` is empty or the binding is invalid.
+pub fn prove_zero_check_borrowed(
+    gate: &CompositePoly,
+    eq_slot: MleId,
+    mut tables: Vec<Cow<'_, Mle>>,
+    transcript: &mut Transcript,
+    threads: usize,
+) -> (ProverOutput, Vec<Fr>) {
+    let num_vars = tables.first().expect("at least one MLE").num_vars();
     let r = transcript.challenge_frs(b"zerocheck/r", num_vars);
-    mles[eq_slot.0] = Mle::eq_table(&r);
-    let out = prove_with_threads(gate, mles, transcript, threads);
+    tables.insert(eq_slot.0, Cow::Owned(Mle::eq_table(&r)));
+    let out = prove_borrowed(gate, tables, transcript, threads);
     (out, r)
 }
 
@@ -145,6 +171,22 @@ mod tests {
         assert!(out.proof.claimed_sum.is_zero());
         let mut tv = Transcript::new(b"zc");
         verify_zero_check(&gate, eq_slot, 5, &out.proof, &mut tv).unwrap();
+    }
+
+    #[test]
+    fn borrowed_binding_matches_owned() {
+        // Same proof, randomness and transcript state whether the caller
+        // binds a placeholder it owns or borrows every other slot.
+        let (gate, eq_slot, mles) = satisfied_vanilla(5, 6);
+        let mut to = Transcript::new(b"zc");
+        let owned = prove_zero_check_with_threads(&gate, eq_slot, mles.clone(), &mut to, 2);
+        let others = mles[..eq_slot.0].iter().map(Cow::Borrowed).collect();
+        let mut tb = Transcript::new(b"zc");
+        let borrowed = prove_zero_check_borrowed(&gate, eq_slot, others, &mut tb, 2);
+        assert_eq!(owned.0.proof, borrowed.0.proof);
+        assert_eq!(owned.0.challenges, borrowed.0.challenges);
+        assert_eq!(owned.1, borrowed.1);
+        assert_eq!(to.challenge_fr(b"probe"), tb.challenge_fr(b"probe"));
     }
 
     #[test]

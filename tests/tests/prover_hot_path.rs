@@ -8,6 +8,8 @@
 //! production SumCheck round evaluator against the counted reference on
 //! random composites over dense, binary, sparse and all-zero tables.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +21,9 @@ use zkphire_hyperplonk::{prove_with_config, setup, verify, Circuit, GateSystem, 
 use zkphire_poly::expr::{konst, var, GateExpr};
 use zkphire_poly::sparsity::{random_dense, random_selector, random_sparse_witness};
 use zkphire_poly::{CompositePoly, Mle, MleId, Term};
-use zkphire_sumcheck::{prove_instrumented, prove_with_threads, verify_with_oracle};
+use zkphire_sumcheck::{
+    prove_borrowed, prove_instrumented, prove_with_threads, verify_with_oracle,
+};
 use zkphire_tests::fnv1a;
 use zkphire_transcript::Transcript;
 
@@ -200,12 +204,14 @@ proptest! {
     /// The production round evaluator (degree classes, power chains,
     /// common factor, zero-line skipping) produces the proof and the
     /// challenges of the counted per-pair reference, and the proof
-    /// verifies, whatever mix of tables it is bound to.
+    /// verifies, whatever mix of tables it is bound to and whether it owns
+    /// them or borrows them.
     #[test]
     fn round_plan_matches_counted_reference(
         seed in 0u64..100_000,
         mu in 1usize..7,
         common in 0u8..2,
+        borrowed in 0u8..2,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let poly = plan_composite(&mut rng, common == 1);
@@ -219,7 +225,11 @@ proptest! {
             .collect();
 
         let mut tp = Transcript::new(b"hotpath/plan");
-        let out = prove_with_threads(&poly, mles.clone(), &mut tp, 2);
+        let out = if borrowed == 1 {
+            prove_borrowed(&poly, mles.iter().map(Cow::Borrowed).collect(), &mut tp, 2)
+        } else {
+            prove_with_threads(&poly, mles.clone(), &mut tp, 2)
+        };
         let mut tr = Transcript::new(b"hotpath/plan");
         let (reference, _) = prove_instrumented(&poly, mles.clone(), &mut tr);
         prop_assert_eq!(&out.proof, &reference.proof);
