@@ -4,17 +4,22 @@
 //! (paper §II-B): `S = Σ k_i · P_i`.
 //!
 //! [`msm`] / [`msm_with_ops`] run one kernel at every size: **signed-digit**
-//! windows (digits in `[-2^(c-1), 2^(c-1)]`, halving the bucket count
+//! windows (digits in `[-(2^(c-1) - 1), 2^(c-1)]`, halving the bucket count
 //! versus unsigned windows because `-P` is a free y-negation) whose
 //! buckets are accumulated *and* reduced in **affine** coordinates, every
 //! inversion shared through [`zkphire_field::batch_inverse_with_scratch`].
+//! No digit is stored: each scalar is kept once, plus a recoding offset
+//! ([`recoding_offset`]) that makes every window of the sum its signed
+//! digit plus a constant, and a sort reads its window's digits off that.
 //! A worker takes its windows in groups:
 //!
-//! * **accumulation** — a few windows at a time (as many as keep the
-//!   sorted copy within [`SORT_POINTS`]) are counting-sorted by
-//!   (window, bucket), then every bucket is collapsed by a pair-reduction
-//!   tree of affine additions, in place, one inversion per pass for all
-//!   the buckets of all those windows;
+//! * **accumulation** — a few windows at a time (as many as keep a sort
+//!   within [`SORT_POINTS`] points) have their point *indices*
+//!   counting-sorted by (window, bucket), the top bit marking a negated
+//!   point. The first pass of a pair-reduction tree reads the points
+//!   through those indices and writes only the pair sums and odd
+//!   leftovers; later passes collapse what it wrote in place. One
+//!   inversion per pass serves all the buckets of all those windows;
 //! * **reduction** — the running sums `Σ j·B_j` of all the group's windows
 //!   advance in lock-step, one inversion per bucket index for at most two
 //!   additions per window (a window no digit landed in — most of a
@@ -24,16 +29,30 @@
 //!
 //! This is the constant-factor structure SZKP and cuZK exploit and the
 //! shape the paper's streamed MSM unit pipelines: one PADD datapath kept
-//! busy across windows. Memory sets the group sizes, not arithmetic — the
-//! proving service's heap peak sits inside its 2^5-point MSMs
-//! (`docs/PERF.md`, "PR 19").
+//! busy across windows, scalars and points streamed into the buckets.
+//!
+//! **Working set.** For `n` points and `B = 2^(c-1)` buckets per window,
+//! a worker whose sorts take `sort_len` windows and whose groups take
+//! `group_len` holds `40n` B of shifted scalars (shared by all workers),
+//! `4·sort_len·n` B of sorted indices, `104·⌈sort_len·(n + B)/2⌉` B of
+//! first-pass sums, `104·group_len·B` B of collapsed buckets and 96 B of
+//! slope denominator and inversion scratch per pair of one pass — nothing
+//! that grows with `n` times the window count. The collapsed buckets are
+//! the largest term, so from [`SPAWN_POINTS`] up a group holds at most
+//! half of the MSM's windows: one more inversion per bucket index, ≈ 1–2 %
+//! of the MSM, for half that buffer. Below it, where an MSM is bound by
+//! its inversions, groups hold up to [`GROUP_WINDOWS`].
 //!
 //! It reports the operation counts the hardware model consumes. Zero
 //! scalars are skipped, which is exactly how the accelerator's *sparse
 //! MSMs* over ~90%-sparse witness MLEs gain their advantage (§IV-B1,
 //! §IV-B3). A bucket's pair order is its input order whatever the
 //! grouping, so the result and [`MsmOps`] are bit-identical regardless
-//! of the worker-thread count.
+//! of the worker-thread count. Neither the zero-skip nor the batch
+//! inversions (a variable-time binary GCD) run in constant time, which is
+//! sound only because every MSM runs prover-side, over public SRS points
+//! and the tables being committed (the trapdoor verifier's one MSM takes
+//! τ, which that stand-in for a pairing holds anyway).
 
 use crate::g1::{G1Affine, G1Projective};
 use zkphire_field::{batch_inverse_with_scratch, Fq, Fr};
@@ -85,16 +104,25 @@ const SCALAR_BITS: u32 = 255;
 /// multiplication per addition.
 const GROUP_WINDOWS: usize = 40;
 
-/// Most digits counting-sorted at a time — one window when `n` is larger.
-/// The sorted copy is the kernel's largest buffer (104 B per point).
+/// Points from which an MSM spawns workers — below it spawns cost more
+/// than the bucket work — and from which a group holds at most half of
+/// the MSM's windows.
+const SPAWN_POINTS: usize = 1 << 10;
+
+/// Most points counting-sorted at a time — one window when `n` is larger.
 const SORT_POINTS: usize = 256;
+
+/// Marks a sorted point index whose digit is negative: its bucket takes
+/// `-P`.
+const NEGATED: u32 = 1 << 31;
 
 /// Computes `Σ scalars[i] * points[i]` with signed-digit Pippenger,
 /// parallelized across windows.
 ///
 /// # Panics
 ///
-/// Panics if `points` and `scalars` have different lengths.
+/// Panics if `points` and `scalars` have different lengths, or if there
+/// are more than 2^31 of them.
 pub fn msm(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     msm_with_ops(points, scalars).0
 }
@@ -125,43 +153,42 @@ pub fn msm_with_ops_threads(
     if points.is_empty() {
         return (G1Projective::identity(), MsmOps::default());
     }
+    let n = points.len();
+    assert!(n <= NEGATED as usize, "at most 2^31 points per MSM");
 
-    let window_bits = optimal_window_bits(points.len());
+    let window_bits = optimal_window_bits(n);
     // One extra window absorbs the final carry of the signed recoding.
     let num_windows = SCALAR_BITS.div_ceil(window_bits) as usize + 1;
     tele::counter_add("msm/calls", 1);
     tele::counter_add("msm/windows", num_windows as u64);
 
-    // Signed digits for every scalar, recoded once and shared by all
-    // windows (window-major layout, so a sort reads one contiguous run
-    // per window: digit of window `w` for scalar `i` lives at
-    // `w * n + i`).
-    let n = points.len();
-    let mut digits = vec![0i32; n * num_windows];
-    let mut recoded = vec![0i32; num_windows];
-    let mut skipped_zeros = 0u64;
-    for (i, s) in scalars.iter().enumerate() {
-        if s.is_zero() {
-            skipped_zeros += 1;
-            continue; // digits stay 0: the windows skip this point entirely
-        }
-        recode_signed(&s.to_canonical_limbs(), window_bits, &mut recoded);
-        // A strided write each: a small scalar's high windows stay untouched.
-        for (w, &digit) in recoded.iter().enumerate().filter(|(_, &d)| d != 0) {
-            digits[w * n + i] = digit;
-        }
-    }
+    // Every scalar once, shifted so that each window holds its signed
+    // digit plus a constant; a zero scalar or an identity point shifts
+    // nothing and so lands in no bucket.
+    let offset = recoding_offset(window_bits, num_windows);
+    let shifted: Vec<[u64; 5]> = scalars
+        .iter()
+        .zip(points)
+        .map(|(s, p)| {
+            if s.is_zero() || p.infinity {
+                offset
+            } else {
+                shift_scalar(s.to_canonical_limbs(), &offset)
+            }
+        })
+        .collect();
+    let skipped_zeros = scalars.iter().filter(|s| s.is_zero()).count() as u64;
 
     // Windows are independent: worker `t` takes windows `t, t + workers,
-    // …` and returns their sums in affine form. Small problems run
-    // sequentially — thread spawns cost more than the bucket work below
-    // ~2^10 points.
-    let workers = if n < (1 << 10) {
+    // …` and returns their sums in affine form.
+    let workers = if n < SPAWN_POINTS {
         1
     } else {
         threads.clamp(1, num_windows)
     };
-    let run = |first: usize| WindowWorker::new(points, &digits, window_bits, first, workers).run();
+    let run = |first: usize| {
+        WindowWorker::new(points, &shifted, window_bits, num_windows, first, workers).run()
+    };
     let per_worker: Vec<(Vec<G1Affine>, u64)> = if workers == 1 {
         vec![run(0)]
     } else {
@@ -200,13 +227,69 @@ pub fn msm_with_ops_threads(
     (acc, ops)
 }
 
+/// `Σ_w h·2^(w·c)` over `windows` windows of `c = window_bits` bits, with
+/// `h = 2^(c-1) - 1`, as a 320-bit integer.
+///
+/// Added to a scalar, it makes window `w` of the sum `d_w + h`, where
+/// `d_w` is the digit `recode_signed` produces: digits in `[-h, h + 1]`
+/// form a complete residue system mod `2^c`, so they are the only signed
+/// digits that reassemble the scalar, and `d_w + h ∈ [0, 2^c)` are then
+/// the plain base-`2^c` digits of the sum. Each `h` fits its own window,
+/// so the terms are simply OR-ed in.
+fn recoding_offset(window_bits: u32, windows: usize) -> [u64; 5] {
+    let h = (1u128 << (window_bits - 1)) - 1;
+    let mut offset = [0u64; 5];
+    for w in 0..windows {
+        let bit = w * window_bits as usize;
+        let spread = h << (bit % 64);
+        offset[bit / 64] |= spread as u64;
+        if let Some(next) = offset.get_mut(bit / 64 + 1) {
+            *next |= (spread >> 64) as u64;
+        }
+    }
+    offset
+}
+
+/// A canonical scalar plus the [`recoding_offset`]; the sum of a 255-bit
+/// scalar and the offset of any width fits in 272 bits.
+fn shift_scalar(limbs: [u64; 4], offset: &[u64; 5]) -> [u64; 5] {
+    let mut sum = *offset;
+    let mut carry = false;
+    for (i, out) in sum.iter_mut().enumerate() {
+        let (s, c1) = out.overflowing_add(limbs.get(i).copied().unwrap_or(0));
+        let (s, c2) = s.overflowing_add(u64::from(carry));
+        *out = s;
+        carry = c1 || c2;
+    }
+    debug_assert!(!carry, "a shifted scalar fits in five limbs");
+    sum
+}
+
+/// Reads window `window`'s signed digit off a shifted scalar: the
+/// window's `window_bits` bits, minus `h = 2^(c-1) - 1`.
+fn signed_digit(window: usize, window_bits: u32) -> impl Fn(&[u64; 5]) -> i32 {
+    let bit = window * window_bits as usize;
+    let (low, shift) = (bit / 64, bit % 64);
+    // A window ends by bit 272, so it lies in one limb or two adjacent ones
+    // (in the top limb, `high` repeats `low` above anything it reads).
+    let high = (low + 1).min(4);
+    let mask = (1u128 << window_bits) - 1;
+    let h = (1i32 << (window_bits - 1)) - 1;
+    move |s| {
+        let limbs = u128::from(s[low]) | u128::from(s[high]) << 64;
+        ((limbs >> shift) & mask) as i32 - h
+    }
+}
+
 /// Recodes a canonical 255-bit scalar into signed base-`2^window_bits`
-/// digits in `[-(2^(c-1) - 1), 2^(c-1)]`, one per window.
+/// digits in `[-(2^(c-1) - 1), 2^(c-1)]`, one per window: the oracle of
+/// the digits the kernel reads off a shifted scalar.
 ///
 /// Standard carry recoding: a raw digit above `2^(c-1)` becomes
 /// `raw - 2^c` and carries `1` into the next window; the last window holds
 /// at most the final carry. The digit vector reconstructs the scalar
 /// exactly: `Σ_w digit_w · 2^(w·c)`.
+#[cfg(test)]
 fn recode_signed(limbs: &[u64; 4], window_bits: u32, out: &mut [i32]) {
     let half = 1i64 << (window_bits - 1);
     let full = 1i64 << window_bits;
@@ -229,8 +312,9 @@ fn recode_signed(limbs: &[u64; 4], window_bits: u32, out: &mut [i32]) {
 /// allocated once per call.
 struct WindowWorker<'a> {
     points: &'a [G1Affine],
-    /// Window-major signed digits, one per point per window.
-    digits: &'a [i32],
+    /// Every scalar plus the [`recoding_offset`].
+    scalars: &'a [[u64; 5]],
+    window_bits: u32,
     first: usize,
     stride: usize,
     slots: usize,
@@ -240,9 +324,13 @@ struct WindowWorker<'a> {
     group_len: usize,
     /// Windows counting-sorted together (≤ `group_len`).
     sort_len: usize,
-    /// Bucket-major (counting-sorted) points of the windows being
-    /// accumulated; bucket `k` owns the segment `starts[k] .. starts[k] +
-    /// lens[k]`, compacted in place as the pair-reduction tree collapses it.
+    /// Point indices of the windows being sorted, bucket-major; bucket
+    /// `k` owns `starts[k] .. starts[k] + lens[k]` and [`NEGATED`] marks a
+    /// point it takes negated.
+    order: Vec<u32>,
+    /// What the first pair-reduction pass leaves of every bucket — its
+    /// pair sums, then its odd leftover — compacted in place by the later
+    /// passes. From the first pass on, `starts` / `lens` index this.
     sorted: Vec<G1Affine>,
     /// Per-bucket segment starts (`sort_len * bucket_count + 1` entries).
     starts: Vec<u32>,
@@ -271,31 +359,39 @@ struct WindowWorker<'a> {
 impl<'a> WindowWorker<'a> {
     fn new(
         points: &'a [G1Affine],
-        digits: &'a [i32],
+        scalars: &'a [[u64; 5]],
         window_bits: u32,
+        num_windows: usize,
         first: usize,
         stride: usize,
     ) -> Self {
         let n = points.len();
-        let num_windows = digits.len() / n;
         let bucket_count = 1usize << (window_bits - 1);
-        // Equal groups, so no straggler pays a group's inversions alone.
         let slots = (num_windows - first).div_ceil(stride);
-        let group_len = slots.div_ceil(slots.div_ceil(GROUP_WINDOWS));
+        let most = if n < SPAWN_POINTS {
+            GROUP_WINDOWS
+        } else {
+            GROUP_WINDOWS.min(num_windows.div_ceil(2))
+        };
+        // Equal groups, so no straggler pays a group's inversions alone.
+        let group_len = slots.div_ceil(slots.div_ceil(most));
         let sort_len = (SORT_POINTS / n).clamp(1, group_len);
         // A sort holds at most `sort_len * n` points, hence half as many
         // pairs in a pass; a reduction step adds twice per window.
         let max_pairs = (sort_len * n / 2).max(2 * group_len);
         Self {
             points,
-            digits,
+            scalars,
+            window_bits,
             first,
             stride,
             slots,
             bucket_count,
             group_len,
             sort_len,
-            sorted: Vec::with_capacity(sort_len * n),
+            order: Vec::with_capacity(sort_len * n),
+            // Each bucket keeps at most half its points, rounded up.
+            sorted: Vec::with_capacity((sort_len * (n + bucket_count)).div_ceil(2)),
             starts: vec![0; sort_len * bucket_count + 1],
             lens: vec![0; sort_len * bucket_count],
             active: Vec::with_capacity(sort_len * bucket_count),
@@ -329,22 +425,24 @@ impl<'a> WindowWorker<'a> {
         (sums, self.pair_adds)
     }
 
-    /// Counting-sorts the non-zero digits of slots `sort .. sort_end` into
-    /// (window, bucket)-major order; a negative digit contributes `-P`, a
-    /// free affine negation.
+    /// Counting-sorts the indices of the points with a non-zero digit in
+    /// slots `sort .. sort_end` into (window, bucket)-major order; a
+    /// negative digit is flagged [`NEGATED`], since its bucket takes `-P`.
     fn sort_by_bucket(&mut self, sort: usize, sort_end: usize) {
-        let (bucket_count, stride) = (self.bucket_count, self.stride);
+        let (bucket_count, stride, bits) = (self.bucket_count, self.stride, self.window_bits);
         let first_window = self.first + sort * stride;
-        let n = self.points.len();
-        // Digits of the sort's window `k`, and the bucket of digit `d` there.
-        let digits_of = |k: usize| &self.digits[(first_window + k * stride) * n..][..n];
+        // The digits of the sort's window `k`, and the bucket of digit `d`
+        // there.
+        let digit = |k: usize| signed_digit(first_window + k * stride, bits);
         let bucket_of = |k: usize, d: i32| k * bucket_count + d.unsigned_abs() as usize - 1;
 
         let lens = &mut self.lens[..(sort_end - sort) * bucket_count];
         lens.fill(0);
         for k in 0..sort_end - sort {
-            for (point, &d) in self.points.iter().zip(digits_of(k)) {
-                if d != 0 && !point.infinity {
+            let digit = digit(k);
+            for s in self.scalars {
+                let d = digit(s);
+                if d != 0 {
                     lens[bucket_of(k, d)] += 1;
                 }
             }
@@ -365,17 +463,18 @@ impl<'a> WindowWorker<'a> {
             }
             tele::hist_merge("msm/bucket_occupancy", &hist);
         }
-        let total = self.starts[lens.len()] as usize;
-        self.sorted.resize(total, G1Affine::identity());
+        self.order.resize(self.starts[lens.len()] as usize, 0);
         // Scatter; `lens` doubles as the per-bucket write cursor and ends
         // up holding the counts again.
         lens.fill(0);
         for k in 0..sort_end - sort {
-            for (point, &d) in self.points.iter().zip(digits_of(k)) {
-                if d != 0 && !point.infinity {
+            let digit = digit(k);
+            for (i, s) in self.scalars.iter().enumerate() {
+                let d = digit(s);
+                if d != 0 {
                     let bucket = bucket_of(k, d);
                     let at = self.starts[bucket] + lens[bucket];
-                    self.sorted[at as usize] = if d > 0 { *point } else { -*point };
+                    self.order[at as usize] = if d > 0 { i as u32 } else { i as u32 | NEGATED };
                     lens[bucket] += 1;
                 }
             }
@@ -392,6 +491,7 @@ impl<'a> WindowWorker<'a> {
     /// recoding carry window).
     fn collapse_buckets(&mut self, windows: usize, into: usize) {
         let buckets = windows * self.bucket_count;
+        self.first_pass(buckets);
         self.active.clear();
         let crowded = (0..buckets as u32).filter(|&b| self.lens[b as usize] >= 2);
         self.active.extend(crowded);
@@ -449,6 +549,73 @@ impl<'a> WindowWorker<'a> {
                     _ => self.sorted[start as usize],
                 }));
         }
+    }
+
+    /// The tree's first pass, read through the sorted indices: every
+    /// bucket's pair sums, then its odd leftover, land in `sorted` — at
+    /// most `⌈len / 2⌉` points per bucket, fewer where a pair cancels —
+    /// and `starts` / `lens` move over to index them there. A pair's
+    /// first point is gathered once, into the slot its sum takes.
+    fn first_pass(&mut self, buckets: usize) {
+        let points = self.points;
+        let point = |entry: u32| {
+            let p = points[(entry & !NEGATED) as usize];
+            if entry & NEGATED == 0 {
+                p
+            } else {
+                -p
+            }
+        };
+        self.sorted.clear();
+        self.denoms.clear();
+        for b in 0..buckets {
+            let s = self.starts[b] as usize;
+            let pairs = self.order[s..s + self.lens[b] as usize].chunks_exact(2);
+            let leftover = pairs.remainder().first().copied();
+            for pair in pairs {
+                let a = point(pair[0]);
+                // Negation leaves x alone, and only a doubling or a
+                // cancellation reads y.
+                let cx = points[(pair[1] & !NEGATED) as usize].x;
+                self.denoms.push(if a.x != cx {
+                    cx - a.x
+                } else {
+                    slope_denominator(&a, &point(pair[1]))
+                });
+                self.sorted.push(a);
+            }
+            self.sorted.extend(leftover.map(point));
+        }
+        if !self.denoms.is_empty() {
+            self.inverse_passes += 1;
+            batch_inverse_with_scratch(&mut self.denoms, &mut self.inv_scratch);
+        }
+
+        // Apply in the same order: pair `i` of a bucket reads its first
+        // point from slot `i` and lands at slot `≤ i`.
+        let mut inverses = self.denoms.iter();
+        let mut at = 0usize;
+        for b in 0..buckets {
+            let s = self.starts[b] as usize;
+            let l = self.lens[b] as usize;
+            let mut write = 0usize;
+            self.pair_adds += (l / 2) as u64;
+            for (i, inv) in inverses.by_ref().take(l / 2).enumerate() {
+                let c = point(self.order[s + 2 * i + 1]);
+                if let Some(sum) = affine_add_with_inv(&self.sorted[at + i], &c, inv) {
+                    self.sorted[at + write] = sum;
+                    write += 1;
+                }
+            }
+            if l % 2 == 1 {
+                self.sorted[at + write] = self.sorted[at + l / 2];
+                write += 1;
+            }
+            self.starts[b] = at as u32;
+            self.lens[b] = write as u32;
+            at += l.div_ceil(2);
+        }
+        self.starts[buckets] = at as u32;
     }
 
     /// Running-sum reduction `Σ_j j · bucket_j` of the group's `windows`
@@ -576,6 +743,7 @@ fn msm_unsigned(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
 
 /// Extracts the `window_index`-th base-`2^window_bits` digit of a 256-bit
 /// little-endian integer.
+#[cfg(test)]
 fn extract_digit(limbs: &[u64; 4], window_index: usize, window_bits: u32) -> usize {
     let bit_offset = window_index * window_bits as usize;
     let limb_index = bit_offset / 64;
@@ -791,6 +959,45 @@ mod tests {
             }
             assert_eq!(acc, g.mul_fr(&s), "window bits {bits}");
         }
+    }
+
+    #[test]
+    fn shifted_scalar_digits_match_signed_recoding() {
+        // Every width `optimal_window_bits` can return, on the scalars
+        // whose carries run furthest: 0, 1, r - 1, every power of two
+        // below r, scalars with the top bits set, and random ones.
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut scalars = vec![Fr::ZERO, Fr::ONE, -Fr::ONE];
+        scalars.extend((0..255).map(|k| Fr::from_u64(2).pow(&[k])));
+        for _ in 0..16 {
+            let top = 0x7000_0000_0000_0000 | rng.gen::<u64>() >> 8;
+            let limbs = [rng.gen(), rng.gen(), rng.gen(), top];
+            scalars.push(Fr::from_canonical_limbs(limbs).expect("below r"));
+            scalars.push(-Fr::from_u64(rng.gen_range(1..1 << 20)));
+            scalars.push(Fr::random(&mut rng));
+        }
+        for bits in 1..=16u32 {
+            let windows = SCALAR_BITS.div_ceil(bits) as usize + 1;
+            let offset = recoding_offset(bits, windows);
+            let mut expected = vec![0i32; windows];
+            for s in &scalars {
+                let limbs = s.to_canonical_limbs();
+                recode_signed(&limbs, bits, &mut expected);
+                let shifted = shift_scalar(limbs, &offset);
+                let digits: Vec<i32> = (0..windows)
+                    .map(|w| signed_digit(w, bits)(&shifted))
+                    .collect();
+                assert_eq!(digits, expected, "window bits {bits}, scalar {s:?}");
+                // Nothing of the sum lies above the top window.
+                let above =
+                    (windows * bits as usize..320).find(|b| shifted[b / 64] >> (b % 64) & 1 == 1);
+                assert_eq!(above, None, "window bits {bits}, scalar {s:?}");
+            }
+        }
+        // The widest window: 17 windows of 16 bits, and r - 1 plus their
+        // offset still fits below bit 272 of the five limbs.
+        let widest = shift_scalar((-Fr::ONE).to_canonical_limbs(), &recoding_offset(16, 17));
+        assert!(widest[4] < 1 << 16, "{widest:x?}");
     }
 
     #[test]

@@ -26,16 +26,20 @@
 //!   `N_i` / `D_i` outlives the PermCheck;
 //! * Batch Evaluations read the witness and σ tables in place
 //!   (`Mle::evaluate` copies only a half-size table);
-//! * the OpenCheck *borrows* all `k_p` committed tables and owns its three
-//!   `eq` tables; the MLE Combine reads the same borrowed tables; ϕ, π,
-//!   p1, p2 are freed before the opening, which reads only `g`.
+//! * the OpenCheck binds six tables it owns, whatever the claim count:
+//!   per evaluation point `p`, the η-combination `G_p` of the committed
+//!   tables claimed there and `eq(point_p, ·)`. Its round 1 holds ϕ, π,
+//!   p1, p2, those six and one half-size table. Its final `poly_j(r)` are
+//!   dot products of the committed tables, read in place, with one
+//!   `eq(r)` table. The MLE Combine reads the same committed tables; ϕ,
+//!   π, p1, p2 are freed before the opening, which reads only `g`.
 
 use std::borrow::Cow;
 
 use zkphire_field::Fr;
 use zkphire_pcs::Commitment;
 use zkphire_poly::{CompositePoly, Mle, MleId, Term};
-use zkphire_sumcheck::{prove_borrowed, prove_zero_check_borrowed};
+use zkphire_sumcheck::{prove_with_threads, prove_zero_check_borrowed, ProverOutput};
 use zkphire_telemetry as tele;
 use zkphire_transcript::Transcript;
 
@@ -219,21 +223,17 @@ pub fn prove_with_config(
     // Step 5 — OpenCheck + MLE Combine + single opening.
     let k_p = num_distinct_polys(system);
     // Every committed table, in `claim_layout` slot order.
-    let committed = || {
+    let committed: Vec<&Mle> = {
         let columns = pk.circuit.selectors.iter().chain(&witness.columns);
         let wiring = pk.sigma_mles.iter().chain([&phi, &pi, &p1, &p2]);
-        columns.chain(wiring)
+        columns.chain(wiring).collect()
     };
     let oc_out = {
         let _oc_span = tele::span("prove/opencheck");
         let etas = transcript.challenge_frs(b"hyperplonk/opencheck/eta", layout.len());
-        let oc_poly = opencheck_composite(system, &etas);
-        let mut oc_tables: Vec<Cow<'_, Mle>> = Vec::with_capacity(k_p + NUM_POINTS);
-        oc_tables.extend(committed().map(Cow::Borrowed));
-        oc_tables.push(Cow::Owned(Mle::eq_table(&x_zc)));
-        oc_tables.push(Cow::Owned(Mle::eq_table(&x_pc)));
-        oc_tables.push(Cow::Owned(Mle::eq_table(&index_point(root_index(n), mu))));
-        prove_borrowed(&oc_poly, oc_tables, transcript, threads)
+        let root = index_point(root_index(n), mu);
+        let points = [&x_zc[..], &x_pc[..], &root[..]];
+        prove_opencheck(system, &committed, points, &etas, transcript, threads)
     };
 
     // MLE Combine: g = Σ ζ_i poly_i, opened once.
@@ -241,7 +241,7 @@ pub fn prove_with_config(
     let zetas = transcript.challenge_frs(b"hyperplonk/combine/zeta", k_p);
     let g = {
         let _s = tele::span("prove/opening/mle_combine");
-        mle_combine(&committed().collect::<Vec<_>>(), &zetas, mu, threads)
+        mle_combine(&committed, &zetas, mu, threads)
     };
     // The opening reads `g` alone, and a small prove's heap peaks inside
     // its MSMs: release the permutation tables before it starts.
@@ -262,6 +262,57 @@ pub fn prove_with_config(
         opening,
         opening_value,
     }
+}
+
+/// The OpenCheck SumCheck over the committed tables (in `claim_layout`
+/// slot order) and the [`NUM_POINTS`] evaluation points.
+///
+/// Its composite, [`opencheck_composite`], is `Σ_j η_j · poly_j ·
+/// eq(point_j, ·)` with one term per claim. It is bound by point instead,
+/// as `Σ_p G_p · eq(point_p, ·)` with `G_p = Σ_{j at p} η_j · poly_j`:
+/// folding commutes with that sum and the degree stays 2, so every round
+/// polynomial is the same field element, over six tables instead of one
+/// per committed table. The proof then carries the final evaluations the
+/// verifier checks against the per-claim composite: every `poly_j(r)`, as
+/// a dot product with one `eq(r)` table, then the `eq(point_p, r)`.
+fn prove_opencheck(
+    system: GateSystem,
+    committed: &[&Mle],
+    points: [&[Fr]; NUM_POINTS],
+    etas: &[Fr],
+    transcript: &mut Transcript,
+    threads: usize,
+) -> ProverOutput {
+    let mu = points[0].len();
+    let layout = claim_layout(system);
+    let mut tables: Vec<Mle> = (0..NUM_POINTS)
+        .map(|p| {
+            let (polys, coeffs): (Vec<&Mle>, Vec<Fr>) = layout
+                .iter()
+                .zip(etas)
+                .filter(|((_, at), _)| *at == p)
+                .map(|(&(poly, _), &eta)| (committed[poly], eta))
+                .unzip();
+            mle_combine(&polys, &coeffs, mu, threads)
+        })
+        .collect();
+    tables.extend(points.map(Mle::eq_table));
+    let by_point = (0..NUM_POINTS).map(|p| Term {
+        coeff: Fr::ONE,
+        scalars: vec![],
+        factors: vec![MleId(p), MleId(NUM_POINTS + p)],
+    });
+    let by_point = CompositePoly::new(by_point.collect());
+    let mut out = prove_with_threads(&by_point, tables, transcript, threads);
+
+    let eq_r = Mle::eq_table(&out.challenges);
+    let eq_evals = out.proof.final_mle_evals.split_off(NUM_POINTS);
+    let dot = |m: &&Mle| -> Fr {
+        let pairs = m.evals().iter().zip(eq_r.evals());
+        pairs.map(|(a, b)| *a * *b).sum()
+    };
+    out.proof.final_mle_evals = committed.iter().map(dot).chain(eq_evals).collect();
+    out
 }
 
 /// The paper's *MLE Combine* kernel: `g = Σ_i ζ_i · poly_i`, chunked over
@@ -291,4 +342,87 @@ fn mle_combine(inputs: &[&Mle], zetas: &[Fr], mu: usize, threads: usize) -> Mle 
         }
     });
     Mle::new(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use zkphire_sumcheck::prove_borrowed;
+
+    /// The OpenCheck as the verifier states it: one term per claim under
+    /// [`opencheck_composite`], every committed table bound in place beside
+    /// the three `eq` tables.
+    fn prove_opencheck_per_claim(
+        system: GateSystem,
+        committed: &[&Mle],
+        points: [&[Fr]; NUM_POINTS],
+        etas: &[Fr],
+        transcript: &mut Transcript,
+        threads: usize,
+    ) -> ProverOutput {
+        let mut tables: Vec<Cow<'_, Mle>> = committed.iter().map(|&m| Cow::Borrowed(m)).collect();
+        tables.extend(points.map(|x| Cow::Owned(Mle::eq_table(x))));
+        prove_borrowed(
+            &opencheck_composite(system, etas),
+            tables,
+            transcript,
+            threads,
+        )
+    }
+
+    #[test]
+    fn opencheck_by_point_matches_per_claim_binding() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for system in [GateSystem::Vanilla, GateSystem::Jellyfish] {
+            let k_p = num_distinct_polys(system);
+            let etas: Vec<Fr> = claim_layout(system)
+                .iter()
+                .map(|_| Fr::random(&mut rng))
+                .collect();
+            for mu in [1usize, 4, 8] {
+                let tables: Vec<Mle> = (0..k_p)
+                    .map(|_| Mle::from_fn(mu, |_| Fr::random(&mut rng)))
+                    .collect();
+                let committed: Vec<&Mle> = tables.iter().collect();
+                let [x_zc, x_pc] =
+                    [(); 2].map(|_| (0..mu).map(|_| Fr::random(&mut rng)).collect::<Vec<_>>());
+                let root = index_point(root_index(1 << mu), mu);
+                let points = [&x_zc[..], &x_pc[..], &root[..]];
+                for threads in [1usize, 3] {
+                    let what = format!("{system:?} µ {mu}, threads={threads}");
+                    let [mut grouped_t, mut per_claim_t] =
+                        [(); 2].map(|_| Transcript::new(b"opencheck"));
+                    let grouped =
+                        prove_opencheck(system, &committed, points, &etas, &mut grouped_t, threads);
+                    let per_claim = prove_opencheck_per_claim(
+                        system,
+                        &committed,
+                        points,
+                        &etas,
+                        &mut per_claim_t,
+                        threads,
+                    );
+                    let (g, c) = (&grouped.proof, &per_claim.proof);
+                    assert_eq!(g.claimed_sum, c.claimed_sum, "{what}: claimed sum");
+                    assert_eq!(g.round_evals, c.round_evals, "{what}: round polynomials");
+                    assert_eq!(
+                        g.final_mle_evals, c.final_mle_evals,
+                        "{what}: final evaluations"
+                    );
+                    assert_eq!(
+                        grouped.challenges, per_claim.challenges,
+                        "{what}: challenges"
+                    );
+                    let after = |t: &mut Transcript| t.challenge_fr(b"opencheck/after");
+                    assert_eq!(
+                        after(&mut grouped_t),
+                        after(&mut per_claim_t),
+                        "{what}: transcript"
+                    );
+                }
+            }
+        }
+    }
 }

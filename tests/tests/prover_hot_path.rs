@@ -455,7 +455,8 @@ fn msm_skips_zero_scalars_at_every_width_boundary() {
 /// every way the kernel can: 256 one-bit windows in seven groups (n = 1),
 /// 86 in three (n = 16), 65 in two with a last sort of one window
 /// (n = 32), sorts of two windows (n = 128), and at 2^10 points 38 windows
-/// as one group, as 2, 4 or 9 workers' shares, and one window per worker.
+/// as two groups of 19 (at most half the windows from 2^10 up), as 2, 4
+/// or 9 workers' shares of one group each, and one window per worker.
 #[test]
 fn msm_agrees_at_every_window_grouping() {
     let (points, logs) = points_with_logs(1 << 10);
