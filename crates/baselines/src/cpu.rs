@@ -1,8 +1,9 @@
 //! CPU SumCheck cost model (AMD EPYC 7502, §V).
 //!
 //! Driven by the exact multiplication counts of
-//! [`PolyProfile::total_muls`] (validated against the instrumented
-//! functional prover) with a single per-multiplication constant anchored
+//! [`PolyProfile::total_muls`] (the dense per-pair dataflow: every term
+//! at all `K` points, no early exit) with a single per-multiplication
+//! constant anchored
 //! to the paper's Table II: `(A·B−C)·f_τ` at problem size `2N = 2^25`
 //! takes 6 770 ms on 4 threads, and the profile performs ≈ 5.7 × 10^8
 //! multiplications (products + updates + Build-MLE), giving ≈ 47.5 ns

@@ -59,7 +59,7 @@ const REGISTRY: &[(&str, Experiment)] = &[
     ("net", net_with_args),
 ];
 
-/// The names of [`REGISTRY`], in its order.
+/// The names of the experiment registry, in its order.
 pub const ALL: [&str; REGISTRY.len()] = {
     let mut names = [""; REGISTRY.len()];
     let mut i = 0;

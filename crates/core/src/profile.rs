@@ -5,7 +5,14 @@
 //! *structure* — terms, factor multiplicities, per-slot sparsity class and
 //! whether a fused `f_r` lane is in play. [`PolyProfile`] extracts exactly
 //! that from the same [`CompositePoly`] IR the functional prover executes,
-//! so the model and the real code path can never drift apart.
+//! so both read one composite. They do not run one schedule: the model's
+//! [`PolyProfile::total_muls`] counts the dense per-pair dataflow (every
+//! term at all `K` points, as `zkphire_sumcheck::count_ops` does, through
+//! the shared [`product_muls_per_pair`]), [`sched`](crate::sched) costs
+//! the Fig. 2 node schedule with each term's own early exit, and the
+//! prover executes per-class early exit, a factored-out `f_r` and
+//! zero-line skipping. `tests/tests/model_consistency.rs` pins the first
+//! to `count_ops`.
 
 use zkphire_poly::{CompositePoly, GateInfo, MleKind};
 use zkphire_sumcheck::{coeff_needs_mul, product_muls_per_pair};
@@ -130,8 +137,9 @@ impl PolyProfile {
         }
     }
 
-    /// Total field multiplications for a full SumCheck at `2^mu`: the
-    /// per-pair product count is the integer
+    /// Total field multiplications for a full SumCheck at `2^mu` in the
+    /// dense per-pair dataflow (every term at all `K` points, no early
+    /// exit, no `f_r` factoring): the per-pair product count is the integer
     /// [`zkphire_sumcheck::count_ops`] uses
     /// ([`product_muls_per_pair`]), summed over the rounds with one
     /// update multiplication per slot per pair, plus the `f_r` build

@@ -20,12 +20,18 @@ pub enum Gate {
 }
 
 impl Gate {
+    /// Selector and witness columns `(s, w)` of the gate system, as the
+    /// functional prover's `GateSystem` counts them.
+    fn columns(self) -> (usize, usize) {
+        match self {
+            Gate::Vanilla => (5, 3),
+            Gate::Jellyfish => (13, 5),
+        }
+    }
+
     /// Witness columns (→ sparse witness MSM count).
     pub fn witness_columns(self) -> usize {
-        match self {
-            Gate::Vanilla => 3,
-            Gate::Jellyfish => 5,
-        }
+        self.columns().1
     }
 
     /// Gate-identity ZeroCheck profile.
@@ -53,19 +59,13 @@ impl Gate {
     /// witnesses at the gate point; π/p/ϕ, witnesses and σ at the
     /// PermCheck point; the root opening).
     pub fn batch_eval_claims(self) -> usize {
-        let (s, w) = match self {
-            Gate::Vanilla => (5, 3),
-            Gate::Jellyfish => (13, 5),
-        };
+        let (s, w) = self.columns();
         (s + w) + (4 + 2 * w) + 1
     }
 
     /// Distinct committed polynomials entering the final MLE Combine.
     pub fn distinct_polys(self) -> usize {
-        let (s, w) = match self {
-            Gate::Vanilla => (5, 3),
-            Gate::Jellyfish => (13, 5),
-        };
+        let (s, w) = self.columns();
         s + 2 * w + 4
     }
 }

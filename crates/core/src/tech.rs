@@ -14,7 +14,7 @@ pub const ELEMENT_BYTES: f64 = 32.0;
 /// Bytes per affine elliptic-curve point (2 × 381-bit padded to 48 B).
 pub const POINT_BYTES: f64 = 96.0;
 
-/// Area scale factor 22nm → 7nm (paper §V, after [65], [66]).
+/// Area scale factor 22nm → 7nm (paper §V, after refs. 65 and 66).
 pub const AREA_SCALE_22_TO_7: f64 = 3.6;
 
 /// Which modular-multiplier flavour a design uses (§V: fixed primes save
@@ -87,7 +87,7 @@ pub const SRAM_MB_PER_MM2: f64 = 2.43;
 pub const INTERCONNECT_FRACTION: f64 = 0.146;
 
 /// HBM2-class PHY: area (mm²) and peak bandwidth (GB/s) per PHY (§VI-B1,
-/// after [2]).
+/// after ref. 2).
 pub const HBM2_PHY_MM2: f64 = 14.9;
 /// Peak bandwidth served per HBM2-class PHY.
 pub const HBM2_PHY_GBPS: f64 = 512.0;

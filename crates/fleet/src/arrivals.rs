@@ -17,7 +17,7 @@ pub trait ArrivalSource {
 }
 
 /// Poisson arrivals: i.i.d. exponential inter-arrival gaps at a fixed
-/// rate, classes drawn from a [`WorkloadMix`].
+/// rate, tenants and classes drawn from a [`TenantMix`].
 #[derive(Clone, Debug)]
 pub struct PoissonSource {
     mean_gap_ms: f64,

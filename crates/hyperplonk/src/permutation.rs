@@ -79,8 +79,8 @@ pub fn index_point(i: usize, num_vars: usize) -> Vec<Fr> {
 /// Builds the full wire-identity polynomial set.
 ///
 /// The prover builds the same tables in two steps at different times —
-/// [`Fractions::wiring`] before the permutation commitments,
-/// [`Fractions::tables`] just before the PermCheck that alone reads them.
+/// the wiring polynomials before the permutation commitments, the `N_i` /
+/// `D_i` tables just before the PermCheck that alone reads them.
 ///
 /// # Panics
 ///

@@ -22,10 +22,11 @@
 //!   structured [`Frame::Error`], and closes that connection only.
 //!   (`no_panic_gate` scans this module like the rest of the crate.)
 //! - **Slow peers cannot hold resources.** A connection mid-frame past
-//!   [`ServeOpts::read_timeout_ms`] is closed as `stalled` (slow-loris
-//!   defense); one silent between frames past
-//!   [`ServeOpts::idle_timeout_ms`] is reaped as `idle_timeout`; the
-//!   handler pool is hard-capped at [`ServeOpts::max_conns`], and the
+//!   [`ServeOpts::read_timeout_ms`](crate::ServeOpts::read_timeout_ms) is
+//!   closed as `stalled` (slow-loris defense); one silent between frames
+//!   past [`ServeOpts::idle_timeout_ms`](crate::ServeOpts::idle_timeout_ms)
+//!   is reaped as `idle_timeout`; the handler pool is hard-capped at
+//!   [`ServeOpts::max_conns`](crate::ServeOpts::max_conns), and the
 //!   connection past the cap gets [`Frame::Busy`] with a live
 //!   retry-after hint, not a queue slot.
 //! - **Backpressure is visible on the wire.** Tenant-cap and

@@ -97,20 +97,6 @@ impl BarycentricWeights {
     }
 }
 
-/// Evaluates the degree-`d` polynomial through `(j, values[j])` for
-/// `j = 0..=d` at the point `r`.
-///
-/// One-shot convenience over [`BarycentricWeights`]; callers evaluating
-/// many rounds of the same degree should construct the weights once.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-pub fn interpolate_at(values: &[Fr], r: Fr) -> Fr {
-    assert!(!values.is_empty(), "need at least one evaluation");
-    BarycentricWeights::new(values.len() - 1).interpolate(values, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +108,11 @@ mod tests {
         coeffs.iter().rev().fold(Fr::ZERO, |acc, &c| acc * x + c)
     }
 
+    /// The polynomial through `(j, values[j])`, `j = 0..=d`, at `r`.
+    fn interpolate(values: &[Fr], r: Fr) -> Fr {
+        BarycentricWeights::new(values.len() - 1).interpolate(values, r)
+    }
+
     #[test]
     fn reconstructs_polynomial() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -131,22 +122,26 @@ mod tests {
                 .map(|j| horner(&coeffs, Fr::from_u64(j)))
                 .collect();
             let r = Fr::random(&mut rng);
-            assert_eq!(interpolate_at(&values, r), horner(&coeffs, r), "degree {d}");
+            assert_eq!(interpolate(&values, r), horner(&coeffs, r), "degree {d}");
         }
     }
 
     #[test]
     fn cached_weights_match_one_shot() {
+        // One weight set evaluates many polynomials of its degree.
         let mut rng = StdRng::seed_from_u64(2);
         for d in [1usize, 3, 7, 31] {
             let weights = BarycentricWeights::new(d);
             assert_eq!(weights.degree(), d);
             for _ in 0..4 {
-                let values: Vec<Fr> = (0..=d).map(|_| Fr::random(&mut rng)).collect();
+                let coeffs: Vec<Fr> = (0..=d).map(|_| Fr::random(&mut rng)).collect();
+                let values: Vec<Fr> = (0..=d as u64)
+                    .map(|j| horner(&coeffs, Fr::from_u64(j)))
+                    .collect();
                 let r = Fr::random(&mut rng);
                 assert_eq!(
                     weights.interpolate(&values, r),
-                    interpolate_at(&values, r),
+                    horner(&coeffs, r),
                     "degree {d}"
                 );
             }
@@ -160,20 +155,20 @@ mod tests {
             .map(|&v| Fr::from_u64(v))
             .collect();
         for (j, &v) in values.iter().enumerate() {
-            assert_eq!(interpolate_at(&values, Fr::from_u64(j as u64)), v);
+            assert_eq!(interpolate(&values, Fr::from_u64(j as u64)), v);
         }
     }
 
     #[test]
     fn constant_polynomial() {
         let v = Fr::from_u64(7);
-        assert_eq!(interpolate_at(&[v], Fr::from_u64(123)), v);
+        assert_eq!(interpolate(&[v], Fr::from_u64(123)), v);
     }
 
     #[test]
     fn linear_polynomial() {
         // p(x) = 2x + 5 through (0,5), (1,7)
         let values = [Fr::from_u64(5), Fr::from_u64(7)];
-        assert_eq!(interpolate_at(&values, Fr::from_u64(10)), Fr::from_u64(25));
+        assert_eq!(interpolate(&values, Fr::from_u64(10)), Fr::from_u64(25));
     }
 }

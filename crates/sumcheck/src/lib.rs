@@ -6,17 +6,17 @@
 //! accelerator targets. It provides:
 //!
 //! * [`prove`] — multithreaded prover (the repository's real CPU
-//!   baseline), running a round schedule compiled once per prove: each
-//!   term at its own `degree + 1` points, zero lines skipped, `f_r`
+//!   baseline), running one round schedule compiled once per prove: each
+//!   term class at its own `degree + 1` points, zero lines skipped, `f_r`
 //!   factored out. Round 1 reads every table once and writes a half-size
 //!   copy, later rounds fold those copies in place; an owned table is
 //!   freed as soon as its half is written, and [`prove_borrowed`] /
 //!   [`prove_zero_check_borrowed`] take tables the caller keeps, which
 //!   are never copied whole;
-//! * [`prove_instrumented`] — single-threaded reference that runs the
-//!   modelled per-pair dataflow and counts every field operation,
-//!   validating the analytical [`count_ops`] oracle shared with the
-//!   hardware model; the differential oracle of [`prove`];
+//! * [`count_ops`] — the multiplication count of the dense per-pair
+//!   dataflow (every term at all `K` points, no early exit), the figure
+//!   the hardware model and the CPU baseline model share, not what the
+//!   prover executes;
 //! * [`verify`] / [`verify_with_oracle`] — round and final-evaluation
 //!   checks;
 //! * [`zerocheck`] — the randomized `f * eq(x, r)` transformation (§III-F).
@@ -51,13 +51,10 @@ mod prover;
 mod verifier;
 pub mod zerocheck;
 
-pub use interp::{interpolate_at, BarycentricWeights};
+pub use interp::BarycentricWeights;
 pub use ops::{coeff_needs_mul, count_ops, product_muls_per_pair, SumcheckOps};
-pub use prover::{
-    prove, prove_borrowed, prove_instrumented, prove_with_threads, ProverOutput, SumCheckProof,
-};
+pub use prover::{prove, prove_borrowed, prove_with_threads, ProverOutput, SumCheckProof};
 pub use verifier::{verify, verify_with_oracle, SumCheckError, VerifiedSumCheck};
 pub use zerocheck::{
-    eq_eval, prove_zero_check, prove_zero_check_borrowed, prove_zero_check_with_threads,
-    verify_zero_check,
+    eq_eval, prove_zero_check_borrowed, prove_zero_check_with_threads, verify_zero_check,
 };

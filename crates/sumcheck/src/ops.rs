@@ -3,9 +3,20 @@
 //! The paper's performance model and its CPU/GPU baselines are all driven
 //! by how many 255-bit modular multiplications a SumCheck performs
 //! (§V, §VI). [`count_ops`] derives those counts from the composite
-//! polynomial's structure; the instrumented reference prover
-//! ([`prove_instrumented`](crate::prove_instrumented)) validates the
-//! formulas operation-for-operation.
+//! polynomial's structure, for the dense per-pair dataflow: every term at
+//! all `K` points of every pair, with no early exit and no `f_r`
+//! factoring. Three schedules are described in this repository, and each
+//! count names its own:
+//!
+//! * [`count_ops`] and `PolyProfile::total_muls` in `zkphire-core`: the
+//!   dense dataflow above, which the CPU baseline model multiplies by its
+//!   calibrated per-multiplication time;
+//! * `core::sched` in `zkphire-core`: the paper's Fig. 2 node schedule,
+//!   where each term's node exits early at its own point count;
+//! * the round plan the prover executes: per-class early exit, the
+//!   factored-out `f_r` and zero-line skipping, so its multiplications
+//!   differ from [`count_ops`]' (three gates' dense per-pair figures are
+//!   pinned side by side in `plan::tests`).
 
 use zkphire_field::Fr;
 use zkphire_poly::CompositePoly;
@@ -19,9 +30,6 @@ pub struct SumcheckOps {
     pub product_muls: u64,
     /// Multiplications inside MLE Update units (one per updated entry).
     pub update_muls: u64,
-    /// Field additions (extensions are add-only — the Extension Engines
-    /// contain no multipliers).
-    pub adds: u64,
 }
 
 impl SumcheckOps {
@@ -51,21 +59,19 @@ pub fn product_muls_per_pair(k: u64, terms: impl IntoIterator<Item = (usize, boo
         .sum()
 }
 
-/// Counts the field operations of a SumCheck over `poly` on `num_vars`
-/// variables, matching the reference prover exactly.
+/// Counts the field multiplications of a SumCheck over `poly` on
+/// `num_vars` variables, in the dense per-pair dataflow.
 ///
 /// Model per round `i` (table size `2^(µ-i+1)`, `half = 2^(µ-i)` pairs,
 /// `K = degree + 1` extension points):
 ///
-/// * extensions: add-only (per unique MLE: 1 diff + K-2 increments);
 /// * products: per pair and per extension point, each term multiplies its
 ///   factors (`deg_t - 1` muls) plus one more when the coefficient is not
-///   ±1;
+///   ±1 (extending a line to `K` points is add-only);
 /// * update: after the round, each MLE slot is fixed at the challenge —
 ///   one mul per surviving entry.
 pub fn count_ops(poly: &CompositePoly, num_vars: usize) -> SumcheckOps {
     let k = poly.degree().max(1) as u64 + 1;
-    let unique = poly.unique_mles().len() as u64;
     let num_mles = poly.num_mles() as u64;
 
     let product_muls_per_pair = product_muls_per_pair(
@@ -74,21 +80,12 @@ pub fn count_ops(poly: &CompositePoly, num_vars: usize) -> SumcheckOps {
             .iter()
             .map(|t| (t.degree(), coeff_needs_mul(&t.coeff))),
     );
-    // Per-pair adds: per unique MLE one diff + (K-2) extension increments
-    // (the first two points are read directly); per term per point one
-    // accumulate add.
-    let ext_adds_per_pair = unique * (1 + k.saturating_sub(2));
-    let acc_adds_per_pair = k * poly.num_terms() as u64;
 
     let mut ops = SumcheckOps::default();
     for round in 1..=num_vars {
         let half = 1u64 << (num_vars - round);
         ops.product_muls += half * product_muls_per_pair;
-        ops.adds += half * (ext_adds_per_pair + acc_adds_per_pair);
-        // MLE Update: every slot halves after the challenge (1 mul + 2 adds
-        // per surviving entry: f0 + r*(f1-f0)).
         ops.update_muls += num_mles * half;
-        ops.adds += num_mles * half * 2;
     }
     ops
 }

@@ -3,9 +3,9 @@
 //! entries.
 //!
 //! This is the schedule the paper's SumCheck unit is programmed with
-//! (Fig. 2, §III-C, §IV-B1), where the per-pair reference in
-//! [`prover`](crate::prover) extends every MLE to all `K` points and
-//! multiplies every term at every point:
+//! (Fig. 2, §III-C, §IV-B1). [`count_ops`](crate::count_ops) counts a
+//! denser one, every MLE extended to all `K` points and every term
+//! multiplied at every point; this plan differs from it in four ways:
 //!
 //! * **Early exit.** A term with `d` factors is a degree-`d` polynomial in
 //!   the round variable, so `d + 1` evaluations determine it. Terms are
@@ -30,9 +30,9 @@
 //!   zero-scalar skip.
 //!
 //! Field arithmetic is exact, so the round polynomials equal the
-//! reference's bit for bit at every thread count: workers sum disjoint
-//! pair ranges into their own class sums, which are reduced in worker
-//! order before the one extension.
+//! composite summed by definition, bit for bit, at every thread count:
+//! workers sum disjoint pair ranges into their own class sums, which are
+//! reduced in worker order before the one extension.
 
 use std::borrow::Cow;
 
@@ -187,7 +187,7 @@ impl RoundPlan {
 
     /// Field multiplications one pair costs when no line is zero — the
     /// dense upper bound, to set beside `count_ops`' per-pair product
-    /// multiplications of the reference schedule.
+    /// multiplications of the dense schedule.
     #[cfg(test)]
     fn muls_per_pair(&self) -> u64 {
         let chain = |exp: u32| exp.ilog2() + exp.count_ones() - 1;
@@ -431,8 +431,8 @@ mod tests {
 
     #[test]
     fn dense_multiplication_counts_are_pinned() {
-        // (gate, reference schedule, this plan): the host-independent
-        // figures docs/PERF.md quotes.
+        // (gate, `count_ops`' dense schedule, this plan): the
+        // host-independent figures docs/PERF.md quotes.
         for (what, poly, reference, planned) in [
             ("Vanilla ZeroCheck", table1_gate(20).poly, 50, 34),
             ("Jellyfish ZeroCheck", table1_gate(22).poly, 368, 223),

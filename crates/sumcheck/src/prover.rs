@@ -14,19 +14,13 @@
 //! as its half is written. [`prove_borrowed`] takes that binding;
 //! [`prove`] / [`prove_with_threads`] wrap it for an owned `Vec<Mle>`.
 //!
-//! Two evaluators produce the same round polynomials, bit for bit:
-//!
-//! * [`prove_borrowed`] (and the owned wrappers), the production path and
-//!   the repo's real CPU baseline, runs the schedule of [`plan`](crate::plan):
-//!   compiled once per prove, each term evaluated at its own
-//!   `degree + 1` points, zero lines skipped, `f_r` factored out.
-//! * [`prove_instrumented`] runs the dataflow the accelerator model costs,
-//!   operation for operation: per pair, every constituent MLE is
-//!   *extended* from `X_i = 0, 1` to `X_i = 2..d` (adds only — the hardware
-//!   Extension Engines contain no multipliers) and every term is
-//!   multiplied at every point (the Product Lanes). It counts each field
-//!   operation, validates [`count_ops`](crate::count_ops), and is the
-//!   differential oracle of the production evaluator.
+//! Every entry point runs one round evaluator, the schedule of
+//! [`plan`](crate::plan), and it is the repo's real CPU baseline: compiled
+//! once per prove, each term class evaluated at its own `degree + 1`
+//! points, zero lines skipped, `f_r` factored out. Its multiplications are
+//! not the ones [`count_ops`](crate::count_ops) counts, which is the dense
+//! per-pair dataflow (see [`ops`](crate::ops)). The tests hold every round
+//! polynomial to the composite evaluated by definition.
 
 use std::borrow::Cow;
 
@@ -35,7 +29,6 @@ use zkphire_poly::{CompositePoly, Mle};
 use zkphire_telemetry as tele;
 use zkphire_transcript::Transcript;
 
-use crate::ops::{coeff_needs_mul, SumcheckOps};
 use crate::plan::RoundPlan;
 
 /// A complete SumCheck proof: the claim, every round polynomial (as
@@ -110,59 +103,18 @@ pub fn prove_with_threads(
 /// transcripts equal those of the owned entry points bit for bit.
 pub fn prove_borrowed(
     poly: &CompositePoly,
-    tables: Vec<Cow<'_, Mle>>,
-    transcript: &mut Transcript,
-    threads: usize,
-) -> ProverOutput {
-    let threads = threads.max(1);
-    // Compiled and allocated once per prove, not per round.
-    let plan = RoundPlan::new(poly);
-    let mut scratch = Vec::new();
-    prove_inner(poly, tables, transcript, threads, |tables| {
-        plan.round_evals(tables, &mut scratch, threads)
-    })
-}
-
-/// An owned binding in the form [`prove_borrowed`] takes.
-pub(crate) fn owned(mles: Vec<Mle>) -> Vec<Cow<'static, Mle>> {
-    mles.into_iter().map(Cow::Owned).collect()
-}
-
-/// Single-threaded reference prover: the modelled schedule, operation for
-/// operation, counting every field operation it performs. Oracle of the
-/// production evaluator — it produces bit-identical proofs to [`prove`].
-pub fn prove_instrumented(
-    poly: &CompositePoly,
-    mles: Vec<Mle>,
-    transcript: &mut Transcript,
-) -> (ProverOutput, SumcheckOps) {
-    let mut ops = SumcheckOps::default();
-    let out = prove_inner(poly, owned(mles), transcript, 1, |tables| {
-        let evals = round_evals_counted(poly, tables, &mut ops);
-        // The MLE Update that follows the round.
-        for m in tables {
-            ops.update_muls += (m.len() / 2) as u64;
-            ops.adds += m.len() as u64; // diff + add per surviving entry
-        }
-        evals
-    });
-    (out, ops)
-}
-
-/// The protocol around a round evaluator: `round_evals` returns
-/// `s_i(0..k)` for the current tables, which are then folded at the
-/// challenge.
-fn prove_inner(
-    poly: &CompositePoly,
     mut tables: Vec<Cow<'_, Mle>>,
     transcript: &mut Transcript,
     threads: usize,
-    mut round_evals: impl FnMut(&[Cow<'_, Mle>]) -> Vec<Fr>,
 ) -> ProverOutput {
     poly.validate_binding(&tables);
     let num_vars = tables.first().expect("at least one MLE").num_vars();
     assert!(num_vars >= 1, "SumCheck needs at least one variable");
     let degree = poly.degree();
+    let threads = threads.max(1);
+    // Compiled and allocated once per prove, not per round.
+    let plan = RoundPlan::new(poly);
+    let mut scratch = Vec::new();
 
     transcript.append_u64(b"sumcheck/num_vars", num_vars as u64);
     transcript.append_u64(b"sumcheck/degree", degree as u64);
@@ -175,7 +127,7 @@ fn prove_inner(
         // Spans live on the orchestrating thread only; the scoped round
         // workers stay span-free so recording never perturbs them.
         let _round_span = tele::span("sumcheck/round");
-        let evals = round_evals(&tables);
+        let evals = plan.round_evals(&tables, &mut scratch, threads);
         if round == 0 {
             claimed_sum = evals[0] + evals[1];
             transcript.append_fr(b"sumcheck/claim", &claimed_sum);
@@ -200,59 +152,9 @@ fn prove_inner(
     }
 }
 
-/// Evaluates one pair (entries `2j`, `2j+1`) of every unique MLE,
-/// extending to `sums.len()` points and accumulating term products into
-/// `sums`.
-fn accumulate_pair(
-    poly: &CompositePoly,
-    mles: &[Cow<'_, Mle>],
-    unique: &[usize],
-    j: usize,
-    ext: &mut [Vec<Fr>],
-    sums: &mut [Fr],
-    ops: &mut SumcheckOps,
-) {
-    let k = sums.len();
-    for &u in unique {
-        let evals = mles[u].evals();
-        let f0 = evals[2 * j];
-        let f1 = evals[2 * j + 1];
-        let diff = f1 - f0;
-        let e = &mut ext[u];
-        e[0] = f0;
-        e[1] = f1;
-        for t in 2..k {
-            e[t] = e[t - 1] + diff;
-        }
-        ops.adds += 1 + (k as u64).saturating_sub(2);
-    }
-    for term in poly.terms() {
-        let needs_coeff_mul = coeff_needs_mul(&term.coeff);
-        let negate = !needs_coeff_mul && !term.coeff.is_one();
-        if term.factors.is_empty() {
-            // A constant term contributes its coefficient at every point.
-            for sum in sums.iter_mut() {
-                *sum += term.coeff;
-            }
-            ops.adds += k as u64;
-            continue;
-        }
-        for (t, sum) in sums.iter_mut().enumerate() {
-            let mut prod = ext[term.factors[0].0][t];
-            for f in &term.factors[1..] {
-                prod *= ext[f.0][t];
-            }
-            if needs_coeff_mul {
-                prod *= term.coeff;
-            } else if negate {
-                prod = -prod;
-            }
-            *sum += prod;
-        }
-        let factor_muls = term.degree() as u64 - 1;
-        ops.product_muls += (k as u64) * (factor_muls + u64::from(needs_coeff_mul));
-        ops.adds += k as u64;
-    }
+/// An owned binding in the form [`prove_borrowed`] takes.
+pub(crate) fn owned(mles: Vec<Mle>) -> Vec<Cow<'static, Mle>> {
+    mles.into_iter().map(Cow::Owned).collect()
 }
 
 /// The paper's *MLE Update* kernel over the whole binding: every table is
@@ -295,29 +197,10 @@ fn fold_table(table: &mut Cow<'_, Mle>, r: Fr, first: bool, threads: usize) {
     }
 }
 
-/// The reference round: every pair through [`accumulate_pair`].
-fn round_evals_counted(
-    poly: &CompositePoly,
-    mles: &[Cow<'_, Mle>],
-    ops: &mut SumcheckOps,
-) -> Vec<Fr> {
-    // At least two evaluation points: the verifier always checks
-    // s(0) + s(1), even for a degree-0 composite.
-    let k = poly.degree().max(1) + 1;
-    let half = mles[0].len() / 2;
-    let unique: Vec<usize> = poly.unique_mles().iter().map(|id| id.0).collect();
-    let mut ext = vec![vec![Fr::ZERO; k]; poly.num_mles()];
-    let mut sums = vec![Fr::ZERO; k];
-    for j in 0..half {
-        accumulate_pair(poly, mles, &unique, j, &mut ext, &mut sums, ops);
-    }
-    sums
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_ops;
+    use crate::{count_ops, verify_with_oracle};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use zkphire_poly::{MleId, Term};
@@ -350,6 +233,36 @@ mod tests {
         ])
     }
 
+    /// Checks a finished proof by definition: round `i` at every point
+    /// `t < k` against the composite summed over the pairs of the tables
+    /// fixed at the challenges before it; then the verifier's round, final
+    /// and oracle checks, and its challenges.
+    fn assert_by_definition(poly: &CompositePoly, mles: &[Mle], out: &ProverOutput, what: &str) {
+        let k = poly.degree().max(1) + 1;
+        let mut tables = mles.to_vec();
+        for (i, evals) in out.proof.round_evals.iter().enumerate() {
+            assert_eq!(evals.len(), k, "{what}: round {i}");
+            for (t, &eval) in evals.iter().enumerate() {
+                let x = Fr::from_u64(t as u64);
+                let at_pair = |j: usize| {
+                    let line = |m: &Mle| {
+                        let (f0, f1) = (m.evals()[2 * j], m.evals()[2 * j + 1]);
+                        f0 + x * (f1 - f0)
+                    };
+                    poly.evaluate_with_mle_values(&tables.iter().map(line).collect::<Vec<_>>())
+                };
+                let expected: Fr = (0..tables[0].len() / 2).map(at_pair).sum();
+                assert_eq!(eval, expected, "{what}: round {i}, t = {t}");
+            }
+            let r = out.challenges[i];
+            tables = tables.iter().map(|m| m.fix_first_variable(r)).collect();
+        }
+        let mut t = Transcript::new(b"test");
+        let verified = verify_with_oracle(poly, mles, &out.proof, &mut t)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(verified.challenges, out.challenges, "{what}");
+    }
+
     #[test]
     fn claimed_sum_matches_reference() {
         let poly = test_poly();
@@ -364,19 +277,16 @@ mod tests {
     fn parallel_and_instrumented_agree() {
         let poly = test_poly();
         let mles = random_mles(5, 7, 2);
-        let mut t1 = Transcript::new(b"test");
-        let out1 = prove(&poly, mles.clone(), &mut t1);
-        let mut t2 = Transcript::new(b"test");
-        let (out2, _) = prove_instrumented(&poly, mles, &mut t2);
-        assert_eq!(out1.proof, out2.proof);
-        assert_eq!(out1.challenges, out2.challenges);
+        let mut t = Transcript::new(b"test");
+        let out = prove(&poly, mles.clone(), &mut t);
+        assert_by_definition(&poly, &mles, &out, "test poly");
     }
 
     /// Production evaluator, on owned and on borrowed tables, at each
-    /// thread count against the reference: same proof, same challenges.
+    /// thread count: the first proof checked by definition, every other
+    /// one equal to it in proof and challenges.
     fn assert_matches_reference(poly: &CompositePoly, mles: &[Mle], threads: &[usize], what: &str) {
-        let mut t = Transcript::new(b"test");
-        let (reference, _) = prove_instrumented(poly, mles.to_vec(), &mut t);
+        let mut reference: Option<ProverOutput> = None;
         for &threads in threads {
             let mut t = Transcript::new(b"test");
             let owned = prove_with_threads(poly, mles.to_vec(), &mut t, threads);
@@ -385,8 +295,16 @@ mod tests {
             let borrowed = prove_borrowed(poly, tables, &mut t, threads);
             for (out, how) in [(owned, "owned"), (borrowed, "borrowed")] {
                 let what = format!("{what}, {how}, threads={threads}");
-                assert_eq!(out.proof, reference.proof, "{what}");
-                assert_eq!(out.challenges, reference.challenges, "{what}");
+                match &reference {
+                    None => {
+                        assert_by_definition(poly, mles, &out, &what);
+                        reference = Some(out);
+                    }
+                    Some(reference) => {
+                        assert_eq!(out.proof, reference.proof, "{what}");
+                        assert_eq!(out.challenges, reference.challenges, "{what}");
+                    }
+                }
             }
         }
     }
@@ -461,29 +379,36 @@ mod tests {
         }
     }
 
+    /// `count_ops` against the `(product_muls, update_muls)` that the
+    /// per-pair reference prover measured, operation for operation, when
+    /// it still ran beside the round plan.
     #[test]
     fn instrumented_counts_match_analytical_formula() {
         let poly = test_poly();
-        for num_vars in [3usize, 5, 8] {
-            let mles = random_mles(5, num_vars, num_vars as u64);
-            let mut t = Transcript::new(b"test");
-            let (_, measured) = prove_instrumented(&poly, mles, &mut t);
-            let predicted = count_ops(&poly, num_vars);
-            assert_eq!(measured, predicted, "num_vars={num_vars}");
+        for (num_vars, measured) in [(3usize, (140, 35)), (5, (620, 155)), (8, (5_100, 1_275))] {
+            let ops = count_ops(&poly, num_vars);
+            let counted = (ops.product_muls, ops.update_muls);
+            assert_eq!(counted, measured, "num_vars={num_vars}");
         }
     }
 
     #[test]
     fn table1_gate_counts_match_formula() {
-        // The op-count oracle must hold for the real gate library too.
-        for id in [0usize, 1, 9, 20, 22, 24] {
-            let gate = zkphire_poly::table1_gate(id);
-            let poly = gate.poly.specialize(&[Fr::from_u64(7); 4]);
-            let mut rng = StdRng::seed_from_u64(id as u64);
-            let mles = zkphire_poly::sparsity::random_binding(&mut rng, &gate.mle_kinds, 4);
-            let mut t = Transcript::new(b"test");
-            let (_, measured) = prove_instrumented(&poly, mles, &mut t);
-            assert_eq!(measured, count_ops(&poly, 4), "gate {id}");
+        // The op-count oracle must hold for the real gate library too;
+        // the figures are the reference prover's measurements at µ 4.
+        for (id, measured) in [
+            (0usize, (240, 60)),
+            (1, (180, 60)),
+            (9, (2_340, 90)),
+            (20, (750, 135)),
+            (22, (5_520, 285)),
+            (24, (270, 180)),
+        ] {
+            let poly = zkphire_poly::table1_gate(id)
+                .poly
+                .specialize(&[Fr::from_u64(7); 4]);
+            let ops = count_ops(&poly, 4);
+            assert_eq!((ops.product_muls, ops.update_muls), measured, "gate {id}");
         }
     }
 

@@ -53,6 +53,8 @@ pub enum SumCheckError {
         /// Offending MLE slot.
         slot: usize,
     },
+    /// A ZeroCheck claimed a non-zero hypercube sum.
+    NonZeroClaim,
 }
 
 impl fmt::Display for SumCheckError {
@@ -85,6 +87,7 @@ impl fmt::Display for SumCheckError {
                     "MLE evaluation claim for slot {slot} does not match the oracle"
                 )
             }
+            Self::NonZeroClaim => write!(f, "zero-check claims a non-zero sum"),
         }
     }
 }

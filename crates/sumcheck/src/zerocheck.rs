@@ -36,28 +36,15 @@ pub fn eq_eval(x: &[Fr], r: &[Fr]) -> Fr {
 }
 
 /// Proves that `gate` (a composite whose slot `eq_slot` is reserved for
-/// `f_r`) vanishes everywhere on the hypercube.
+/// `f_r`) vanishes everywhere on the hypercube, on `threads` workers (see
+/// [`prove_with_threads`](crate::prove_with_threads)); transcripts are
+/// identical for every count.
 ///
 /// `mles` must bind *every* slot including `eq_slot`; whatever is bound
-/// there is overwritten with the transcript-derived `eq(x, r)` table,
+/// there is replaced by the transcript-derived `eq(x, r)` table,
 /// mirroring the paper's on-the-fly construction.
 ///
 /// Returns the prover output plus the ZeroCheck randomness `r`.
-pub fn prove_zero_check(
-    gate: &CompositePoly,
-    eq_slot: MleId,
-    mles: Vec<Mle>,
-    transcript: &mut Transcript,
-) -> (ProverOutput, Vec<Fr>) {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    prove_zero_check_with_threads(gate, eq_slot, mles, transcript, threads)
-}
-
-/// [`prove_zero_check`] with an explicit worker-thread count (see
-/// [`prove_with_threads`](crate::prove_with_threads)); transcripts are
-/// identical for every count.
 pub fn prove_zero_check_with_threads(
     gate: &CompositePoly,
     eq_slot: MleId,
@@ -102,9 +89,11 @@ pub fn prove_zero_check_borrowed(
 ///
 /// # Errors
 ///
-/// Returns a [`SumCheckError`] on any failed check; a non-zero claim or a
-/// bad `f_r` evaluation surfaces as [`SumCheckError::FinalEvaluationMismatch`]
-/// or [`SumCheckError::OracleMismatch`] on the eq slot.
+/// Returns a [`SumCheckError`] on the first failed check: a non-zero claim
+/// is [`SumCheckError::NonZeroClaim`], checked before any round; a failed
+/// SumCheck is the error [`verify`] returns; and an `f_r` evaluation claim
+/// that is not `eq(challenges, r)` is [`SumCheckError::OracleMismatch`] on
+/// the eq slot.
 pub fn verify_zero_check(
     gate: &CompositePoly,
     eq_slot: MleId,
@@ -114,7 +103,7 @@ pub fn verify_zero_check(
 ) -> Result<VerifiedSumCheck, SumCheckError> {
     let r = transcript.challenge_frs(b"zerocheck/r", num_vars);
     if !proof.claimed_sum.is_zero() {
-        return Err(SumCheckError::RoundSumMismatch { round: 0 });
+        return Err(SumCheckError::NonZeroClaim);
     }
     let verified = verify(gate, num_vars, proof, transcript)?;
     let expected_eq = eq_eval(&verified.challenges, &r);
@@ -167,7 +156,7 @@ mod tests {
     fn satisfied_circuit_verifies() {
         let (gate, eq_slot, mles) = satisfied_vanilla(5, 2);
         let mut tp = Transcript::new(b"zc");
-        let (out, _) = prove_zero_check(&gate, eq_slot, mles, &mut tp);
+        let (out, _) = prove_zero_check_with_threads(&gate, eq_slot, mles, &mut tp, 1);
         assert!(out.proof.claimed_sum.is_zero());
         let mut tv = Transcript::new(b"zc");
         verify_zero_check(&gate, eq_slot, 5, &out.proof, &mut tv).unwrap();
@@ -196,10 +185,13 @@ mod tests {
         let bad = mles[7].evals()[3] + Fr::ONE;
         mles[7].evals_mut()[3] = bad;
         let mut tp = Transcript::new(b"zc");
-        let (out, _) = prove_zero_check(&gate, eq_slot, mles, &mut tp);
+        let (out, _) = prove_zero_check_with_threads(&gate, eq_slot, mles, &mut tp, 1);
         // An honest prover produces a non-zero claim; verification fails.
         let mut tv = Transcript::new(b"zc");
-        assert!(verify_zero_check(&gate, eq_slot, 5, &out.proof, &mut tv).is_err());
+        assert_eq!(
+            verify_zero_check(&gate, eq_slot, 5, &out.proof, &mut tv).unwrap_err(),
+            SumCheckError::NonZeroClaim
+        );
     }
 
     #[test]
@@ -213,21 +205,27 @@ mod tests {
         // Plain hypercube sum of the raw gate (without f_r) would be zero;
         // with f_r bound to eq the ZeroCheck claim is non-zero.
         let mut tp = Transcript::new(b"zc");
-        let (out, _) = prove_zero_check(&gate, eq_slot, mles, &mut tp);
+        let (out, _) = prove_zero_check_with_threads(&gate, eq_slot, mles, &mut tp, 1);
         assert!(!out.proof.claimed_sum.is_zero());
         let mut tv = Transcript::new(b"zc");
-        assert!(verify_zero_check(&gate, eq_slot, 4, &out.proof, &mut tv).is_err());
+        assert_eq!(
+            verify_zero_check(&gate, eq_slot, 4, &out.proof, &mut tv).unwrap_err(),
+            SumCheckError::NonZeroClaim
+        );
     }
 
     #[test]
     fn forged_eq_eval_rejected() {
         let (gate, eq_slot, mles) = satisfied_vanilla(4, 5);
         let mut tp = Transcript::new(b"zc");
-        let (mut out, _) = prove_zero_check(&gate, eq_slot, mles, &mut tp);
+        let (mut out, _) = prove_zero_check_with_threads(&gate, eq_slot, mles, &mut tp, 1);
         // Tamper with the claimed f_r evaluation (and nothing else): the
-        // final-evaluation check or the eq closed form must catch it.
+        // composite at the final point no longer meets the last claim.
         out.proof.final_mle_evals[eq_slot.0] += Fr::ONE;
         let mut tv = Transcript::new(b"zc");
-        assert!(verify_zero_check(&gate, eq_slot, 4, &out.proof, &mut tv).is_err());
+        assert_eq!(
+            verify_zero_check(&gate, eq_slot, 4, &out.proof, &mut tv).unwrap_err(),
+            SumCheckError::FinalEvaluationMismatch
+        );
     }
 }

@@ -40,7 +40,7 @@ const RHO: [u32; 25] = [
     18, 2, 61, 56, 14,
 ];
 
-/// Applies the 24-round Keccak-f[1600] permutation in place.
+/// Applies the 24-round `Keccak-f[1600]` permutation in place.
 pub fn keccak_f(state: &mut [u64; 25]) {
     for &rc in &ROUND_CONSTANTS {
         // Theta.

@@ -1,7 +1,7 @@
 //! Programming a custom high-degree gate — the paper's headline use case.
 //!
-//! Defines a Halo2-style elliptic-curve gate with the [`GateExpr`]
-//! language, proves its SumCheck functionally, and then "programs" the
+//! Defines a Halo2-style elliptic-curve gate with the
+//! [`GateExpr`](zkphire_poly::expr::GateExpr) language, proves its SumCheck functionally, and then "programs" the
 //! modeled accelerator with the same composite to estimate hardware
 //! runtime against the CPU baseline at 2^24 constraints.
 //!

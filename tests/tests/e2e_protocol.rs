@@ -10,6 +10,7 @@ use zkphire_field::Fr;
 use zkphire_hyperplonk::{
     prove, setup, verify, Circuit, GateSystem, HyperPlonkError, HyperPlonkProof, VerifyingKey,
 };
+use zkphire_sumcheck::SumCheckError;
 use zkphire_transcript::Transcript;
 
 /// One valid µ = 4 proof per gate system, built once for the tests that
@@ -80,6 +81,31 @@ fn copy_constraint_violation_rejected_end_to_end() {
     let proof = prove(&pk, &witness, &mut Transcript::new(b"e2e"));
     let result = verify(&vk, &proof, &mut Transcript::new(b"e2e"));
     assert!(result.is_err(), "copy violation must be rejected");
+}
+
+#[test]
+fn bumped_output_cell_fails_the_gate_zero_check_by_name() {
+    // One output cell of an active row (every active row sets q_O) off by
+    // one breaks that row's gate identity: the honest prover's gate
+    // ZeroCheck claims a non-zero sum, and the verifier names that check
+    // before any round runs.
+    for system in [GateSystem::Vanilla, GateSystem::Jellyfish] {
+        let mut rng = StdRng::seed_from_u64(0x0b0e);
+        let (circuit, mut witness) = Circuit::random(system, 4, 0.5, &mut rng);
+        let row = (0..circuit.num_rows())
+            .find(|&r| circuit.selectors.iter().any(|q| !q.evals()[r].is_zero()))
+            .expect("an active row");
+        let out = witness.columns.last_mut().expect("an output column");
+        let bumped = out.evals()[row] + Fr::ONE;
+        out.evals_mut()[row] = bumped;
+        let (pk, vk) = setup(circuit, &mut rng);
+        let proof = prove(&pk, &witness, &mut Transcript::new(b"e2e"));
+        assert_eq!(
+            verify(&vk, &proof, &mut Transcript::new(b"e2e")),
+            Err(HyperPlonkError::GateCheck(SumCheckError::NonZeroClaim)),
+            "{system:?}"
+        );
+    }
 }
 
 #[test]

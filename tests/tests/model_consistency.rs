@@ -4,9 +4,11 @@
 
 use zkphire_core::memory::MemoryConfig;
 use zkphire_core::profile::PolyProfile;
+use zkphire_core::protocol::Gate;
 use zkphire_core::sched::{node_count, schedule};
 use zkphire_core::sumcheck_unit::{simulate_sumcheck, SumcheckUnitConfig};
-use zkphire_poly::{high_degree_gate, table1_gates};
+use zkphire_hyperplonk::GateSystem;
+use zkphire_poly::{high_degree_gate, table1_gate, table1_gates};
 use zkphire_sumcheck::count_ops;
 
 fn test_config() -> SumcheckUnitConfig {
@@ -37,6 +39,29 @@ fn profile_mul_counts_match_functional_oracle() {
                 profile.total_muls(mu)
             );
         }
+    }
+}
+
+#[test]
+fn protocol_column_counts_match_the_functional_prover() {
+    // The model's gate systems have the prover's selector and witness
+    // columns `(s, w)`, and Table I's rows have the slots those imply:
+    // the gate row binds `s + w` columns plus `f_r`, the perm row π, p1,
+    // p2, ϕ, `W` numerators, `W` denominators and `f_r`.
+    for (gate, system, (gate_row, perm_row)) in [
+        (Gate::Vanilla, GateSystem::Vanilla, (20, 21)),
+        (Gate::Jellyfish, GateSystem::Jellyfish, (22, 23)),
+    ] {
+        let (s, w) = (system.num_selectors(), system.num_witness_columns());
+        assert_eq!(gate.witness_columns(), w, "{gate:?}");
+        assert_eq!(
+            gate.batch_eval_claims(),
+            (s + w) + (4 + 2 * w) + 1,
+            "{gate:?}"
+        );
+        assert_eq!(gate.distinct_polys(), s + 2 * w + 4, "{gate:?}");
+        assert_eq!(table1_gate(gate_row).poly.num_mles() - 1, s + w, "{gate:?}");
+        assert_eq!(table1_gate(perm_row).poly.num_mles(), 5 + 2 * w, "{gate:?}");
     }
 }
 

@@ -5,8 +5,9 @@
 //! across every window width the prover meets, the inputs that corner the
 //! lock-step affine bucket reduction and the window grouping, and the
 //! proof-bytes pin that keep MSM kernel changes output-neutral, and the
-//! production SumCheck round evaluator against the counted reference on
-//! random composites over dense, binary, sparse and all-zero tables.
+//! production SumCheck round evaluator against the composite evaluated by
+//! definition on random composites over dense, binary, sparse and all-zero
+//! tables.
 
 use std::borrow::Cow;
 
@@ -21,9 +22,7 @@ use zkphire_hyperplonk::{prove_with_config, setup, verify, Circuit, GateSystem, 
 use zkphire_poly::expr::{konst, var, GateExpr};
 use zkphire_poly::sparsity::{random_dense, random_selector, random_sparse_witness};
 use zkphire_poly::{CompositePoly, Mle, MleId, Term};
-use zkphire_sumcheck::{
-    prove_borrowed, prove_instrumented, prove_with_threads, verify_with_oracle,
-};
+use zkphire_sumcheck::{prove_borrowed, prove_with_threads, verify_with_oracle, SumCheckProof};
 use zkphire_tests::fnv1a;
 use zkphire_transcript::Transcript;
 
@@ -202,10 +201,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The production round evaluator (degree classes, power chains,
-    /// common factor, zero-line skipping) produces the proof and the
-    /// challenges of the counted per-pair reference, and the proof
-    /// verifies, whatever mix of tables it is bound to and whether it owns
-    /// them or borrows them.
+    /// common factor, zero-line skipping) produces the round polynomials of
+    /// the composite evaluated by definition, and the proof verifies with
+    /// the prover's challenges, whatever mix of tables it is bound to and
+    /// whether it owns them or borrows them.
     #[test]
     fn round_plan_matches_counted_reference(
         seed in 0u64..100_000,
@@ -230,14 +229,44 @@ proptest! {
         } else {
             prove_with_threads(&poly, mles.clone(), &mut tp, 2)
         };
-        let mut tr = Transcript::new(b"hotpath/plan");
-        let (reference, _) = prove_instrumented(&poly, mles.clone(), &mut tr);
-        prop_assert_eq!(&out.proof, &reference.proof);
-        prop_assert_eq!(&out.challenges, &reference.challenges);
-
-        let mut tv = Transcript::new(b"hotpath/plan");
-        prop_assert!(verify_with_oracle(&poly, &mles, &out.proof, &mut tv).is_ok());
+        assert_by_definition(&poly, &mles, &out.proof, &out.challenges);
     }
+}
+
+/// Checks a finished SumCheck proof by definition: round `i` at every
+/// point `t < k` against the composite summed over the pairs of the tables
+/// fixed at the challenges before it; then the verifier's round, final and
+/// oracle checks, and its challenges.
+fn assert_by_definition(
+    poly: &CompositePoly,
+    mles: &[Mle],
+    proof: &SumCheckProof,
+    challenges: &[Fr],
+) {
+    let k = poly.degree().max(1) + 1;
+    let mut tables = mles.to_vec();
+    for (i, evals) in proof.round_evals.iter().enumerate() {
+        assert_eq!(evals.len(), k, "round {i}");
+        for (t, &eval) in evals.iter().enumerate() {
+            let x = Fr::from_u64(t as u64);
+            let at_pair = |j: usize| {
+                let line = |m: &Mle| {
+                    let (f0, f1) = (m.evals()[2 * j], m.evals()[2 * j + 1]);
+                    f0 + x * (f1 - f0)
+                };
+                poly.evaluate_with_mle_values(&tables.iter().map(line).collect::<Vec<_>>())
+            };
+            let expected: Fr = (0..tables[0].len() / 2).map(at_pair).sum();
+            assert_eq!(eval, expected, "round {i}, t = {t}");
+        }
+        tables = tables
+            .iter()
+            .map(|m| m.fix_first_variable(challenges[i]))
+            .collect();
+    }
+    let mut tv = Transcript::new(b"hotpath/plan");
+    let verified = verify_with_oracle(poly, mles, proof, &mut tv).expect("proof verifies");
+    assert_eq!(verified.challenges, challenges);
 }
 
 /// `n` distinct points `k_i·G` with `k_0 = 2`, `k_{i+1} = 2 k_i + 1`,
