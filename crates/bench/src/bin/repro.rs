@@ -2,6 +2,7 @@
 //! models. Usage: `repro <experiment|all> [flags...]`; see `repro list`.
 //! (`repro obs` accepts `--out-dir <dir>`.)
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use zkphire_bench::experiments;
@@ -13,30 +14,28 @@ fn main() -> ExitCode {
         eprintln!("experiments: {}", experiments::ALL.join(", "));
         return ExitCode::FAILURE;
     };
-    match which.as_str() {
-        "list" => {
-            println!("{}", experiments::ALL.join("\n"));
-            ExitCode::SUCCESS
-        }
-        "all" => {
-            for name in experiments::ALL {
-                println!("=== {name} ===");
-                println!(
-                    "{}",
-                    experiments::run_with_args(name, rest).expect("registered")
-                );
-            }
-            ExitCode::SUCCESS
-        }
+    let mut out = io::stdout().lock();
+    let written = match which.as_str() {
+        "list" => writeln!(out, "{}", experiments::ALL.join("\n")),
+        "all" => experiments::ALL.iter().try_for_each(|name| {
+            writeln!(out, "=== {name} ===")?;
+            let output = experiments::run_with_args(name, rest).expect("registered");
+            writeln!(out, "{output}")
+        }),
         name => match experiments::run_with_args(name, rest) {
-            Some(output) => {
-                println!("{output}");
-                ExitCode::SUCCESS
-            }
+            Some(output) => writeln!(out, "{output}"),
             None => {
                 eprintln!("unknown experiment '{name}'; try `repro list`");
-                ExitCode::FAILURE
+                return ExitCode::FAILURE;
             }
         },
+    };
+    match written.and_then(|()| out.flush()) {
+        // A reader that stops early (`repro all | head`) is not a failure.
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("repro: writing stdout failed: {e}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
     }
 }

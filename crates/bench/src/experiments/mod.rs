@@ -1,7 +1,6 @@
 //! Experiment registry: one generator per paper table/figure.
 
 mod ablations;
-mod autoscale_exps;
 mod faults_exps;
 mod fleet_exps;
 mod net_exps;
@@ -12,7 +11,6 @@ mod system_exps;
 mod workload_exps;
 
 pub use ablations::ablations;
-pub use autoscale_exps::autoscale;
 pub use faults_exps::faults;
 pub use fleet_exps::fleet;
 pub use net_exps::{net, net_with_args};
@@ -52,7 +50,6 @@ const REGISTRY: &[(&str, Experiment)] = &[
     ("breakdown", |_| breakdown()),
     ("ablations", |_| ablations()),
     ("fleet", |_| fleet()),
-    ("autoscale", |_| autoscale()),
     ("faults", |_| faults()),
     ("obs", obs_with_args),
     ("serve", serve_with_args),
@@ -93,7 +90,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_resolve() {
-        assert_eq!(ALL.len(), 25);
+        assert_eq!(ALL.len(), 24);
         for (i, name) in ALL.iter().enumerate() {
             assert!(!ALL[..i].contains(name), "`{name}` is registered twice");
             assert!(lookup(name).is_some(), "`{name}` does not resolve");

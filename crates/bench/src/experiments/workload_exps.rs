@@ -6,6 +6,7 @@ use zkphire_core::protocol::{simulate_protocol, simulate_protocol_with_gate, Gat
 use zkphire_core::system::ZkphireConfig;
 use zkphire_core::tech::PrimeMode;
 use zkphire_core::workloads::all_workloads;
+use zkphire_hyperplonk::{proof_size_bytes, GateSystem};
 use zkphire_poly::high_degree_gate;
 
 use crate::{fmt_table, geomean};
@@ -206,21 +207,6 @@ pub fn table8() -> String {
     out
 }
 
-/// Analytic HyperPlonk proof-size estimate (bytes) for this repository's
-/// proof layout: 48 B compressed G1 points and 32 B scalars.
-fn proof_size_bytes(gate: Gate, mu: usize) -> usize {
-    let (s, w, zc_deg, pc_deg) = match gate {
-        Gate::Vanilla => (5usize, 3usize, 4usize, 5usize),
-        Gate::Jellyfish => (13, 5, 7, 7),
-    };
-    let commits = w + 4 + mu; // witness + perm commitments + opening quotients
-    let zc = mu * (zc_deg + 1) + 1 + (s + w + 1);
-    let pc = mu * (pc_deg + 1) + 1 + (4 + 2 * w + 1);
-    let oc = mu * 3 + 1 + (s + 2 * w + 4 + 3);
-    let extra = 2 * w + 1;
-    commits * 48 + (zc + pc + oc + extra) * 32
-}
-
 /// Table IX: cross-accelerator comparison (published competitor numbers;
 /// zkPHIRE column from this repository's models).
 pub fn table9() -> String {
@@ -228,7 +214,7 @@ pub fn table9() -> String {
     let area = cfg.area();
     let power = cfg.power();
     let ours_ms = simulate_protocol(&cfg, Gate::Jellyfish, 19, true).total_ms;
-    let proof_kb = proof_size_bytes(Gate::Jellyfish, 19) as f64 / 1024.0;
+    let proof_kb = proof_size_bytes(GateSystem::Jellyfish, 19) as f64 / 1024.0;
     // Modular multipliers in the exemplar: MSM PADDs + forest + updates +
     // PermQuotGen pipelines + combine.
     let modmuls = cfg.msm.pes * 16

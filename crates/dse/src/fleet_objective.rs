@@ -13,8 +13,8 @@
 use zkphire_core::costdb::CostModel;
 use zkphire_core::system::ZkphireConfig;
 use zkphire_fleet::{
-    simulate, AutoscaleConfig, BrownOutConfig, ChipOutage, FaultConfig, FleetConfig, FleetSummary,
-    OnOffSource, PoissonSource, PolicyKind, RetryPolicy, ScaleKind, TenantMix, WorkloadMix,
+    simulate, BrownOutConfig, ChipOutage, FaultConfig, FleetConfig, FleetSummary, PoissonSource,
+    PolicyKind, RetryPolicy, WorkloadMix,
 };
 
 /// The service-level objective a fleet must meet.
@@ -297,165 +297,6 @@ pub fn size_fleet_n_minus_k(
     })
 }
 
-/// A bursty ON/OFF (interrupted-Poisson) traffic scenario — the
-/// workload shape where static peak sizing wastes the most silicon.
-#[derive(Clone, Debug)]
-pub struct BurstScenario {
-    /// Arrival rate inside ON phases (requests/second).
-    pub on_rate_rps: f64,
-    /// Mean ON-phase length (ms).
-    pub mean_on_ms: f64,
-    /// Mean OFF-phase length (ms).
-    pub mean_off_ms: f64,
-    /// Simulated horizon (ms).
-    pub horizon_ms: f64,
-    /// Traffic seed.
-    pub seed: u64,
-}
-
-impl BurstScenario {
-    /// Long-run average arrival rate (requests/second).
-    pub fn mean_rate_rps(&self) -> f64 {
-        self.on_rate_rps * self.mean_on_ms / (self.mean_on_ms + self.mean_off_ms)
-    }
-
-    /// Duty cycle: the fraction of time the source is ON.
-    pub fn duty_cycle(&self) -> f64 {
-        self.mean_on_ms / (self.mean_on_ms + self.mean_off_ms)
-    }
-}
-
-/// Simulates a (possibly autoscaled) fleet under `scenario`, reusing a
-/// caller-owned memoized cost model. `chips` is the fixed pool size, or
-/// the initial size when `autoscale` is given.
-pub fn evaluate_burst_fleet_with(
-    cost: &mut CostModel,
-    chips: usize,
-    autoscale: Option<AutoscaleConfig>,
-    mix: &TenantMix,
-    policy: PolicyKind,
-    scenario: &BurstScenario,
-) -> FleetSummary {
-    let mut source = OnOffSource::new(
-        scenario.on_rate_rps,
-        scenario.mean_on_ms,
-        scenario.mean_off_ms,
-        scenario.horizon_ms,
-        mix.clone(),
-        scenario.seed,
-    );
-    let mut fleet_cfg = FleetConfig::new(chips)
-        .with_policy(policy)
-        .with_tenant_weights(mix.service_weights());
-    if let Some(a) = autoscale {
-        fleet_cfg = fleet_cfg.with_autoscale(a);
-    }
-    simulate(&fleet_cfg, &mut source, cost)
-        .expect("burst sweep built an invalid fleet config")
-        .summary
-}
-
-/// Sizes a *static* fleet against a p99 bound under ON/OFF bursts: the
-/// smallest fixed chip count in `[1, max_chips]` with simulated
-/// p99 ≤ `p99_ms`. The peak-sized answer every reactive policy is
-/// compared against.
-pub fn size_fleet_burst(
-    cfg: &ZkphireConfig,
-    mix: &TenantMix,
-    policy: PolicyKind,
-    scenario: &BurstScenario,
-    p99_ms: f64,
-    max_chips: usize,
-) -> Option<FleetSizing> {
-    let mut cost = CostModel::new(*cfg, true);
-    let (chips, summary) = smallest_feasible(
-        max_chips,
-        |n| evaluate_burst_fleet_with(&mut cost, n, None, mix, policy, scenario),
-        |summary| summary.p99_latency_ms <= p99_ms,
-    )?;
-    Some(FleetSizing {
-        chips,
-        cost: fleet_cost(cfg, chips),
-        summary,
-    })
-}
-
-/// One provisioning strategy's outcome under a burst scenario.
-#[derive(Clone, Debug)]
-pub struct ProvisioningRow {
-    /// Strategy name (`static`, `queue-depth`, `util-target`, …).
-    pub label: String,
-    /// Simulated metrics.
-    pub summary: FleetSummary,
-    /// Whether the p99 bound held.
-    pub meets_slo: bool,
-    /// Chip-time actually provisioned, in chip-seconds — the
-    /// over-provisioning cost a reactive policy tries to shed.
-    pub chip_seconds: f64,
-    /// Energy spent keeping those chips powered (kJ): chip-seconds ×
-    /// per-chip average power.
-    pub energy_kj: f64,
-}
-
-/// Static-vs-reactive provisioning under ON/OFF bursts.
-#[derive(Clone, Debug)]
-pub struct ProvisioningComparison {
-    /// The p99 bound every strategy is held to (ms).
-    pub p99_slo_ms: f64,
-    /// The static optimum's chip count (also the reactive ceiling).
-    pub static_chips: usize,
-    /// One row per strategy; `rows[0]` is the static baseline.
-    pub rows: Vec<ProvisioningRow>,
-}
-
-/// Compares reactive autoscaling against the static `size_fleet_burst`
-/// optimum on one burst scenario: the static fleet is sized for the
-/// p99 bound, then each reactive policy runs with bounds
-/// `[1, static_chips]` — same peak capacity, elastic average. A
-/// reactive row "wins" when `meets_slo` holds at lower `chip_seconds`
-/// than the static baseline. Returns `None` when even `max_chips`
-/// static chips miss the bound.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_provisioning(
-    cfg: &ZkphireConfig,
-    mix: &TenantMix,
-    policy: PolicyKind,
-    scenario: &BurstScenario,
-    p99_slo_ms: f64,
-    max_chips: usize,
-    reactive: &[ScaleKind],
-    spin_up_ms: f64,
-) -> Option<ProvisioningComparison> {
-    let sizing = size_fleet_burst(cfg, mix, policy, scenario, p99_slo_ms, max_chips)?;
-    let power_w = cfg.power().total();
-    let mut cost = CostModel::new(*cfg, true);
-    let row = |label: &str, summary: FleetSummary| {
-        let chip_seconds = summary.chip_seconds;
-        ProvisioningRow {
-            label: label.to_string(),
-            meets_slo: summary.p99_latency_ms <= p99_slo_ms,
-            chip_seconds,
-            energy_kj: chip_seconds * power_w / 1000.0,
-            summary,
-        }
-    };
-    let mut rows = vec![row("static", sizing.summary.clone())];
-    for &kind in reactive {
-        let autoscale = AutoscaleConfig::new(kind, 1, sizing.chips)
-            .with_spin_up_ms(spin_up_ms)
-            .with_cooldown_ms(2.0 * spin_up_ms)
-            .with_interval_ms(spin_up_ms.max(1.0) / 2.0);
-        let summary =
-            evaluate_burst_fleet_with(&mut cost, 1, Some(autoscale), mix, policy, scenario);
-        rows.push(row(kind.name(), summary));
-    }
-    Some(ProvisioningComparison {
-        p99_slo_ms,
-        static_chips: sizing.chips,
-        rows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,76 +410,6 @@ mod tests {
         assert_eq!(n1.summary.chip_repairs, 1);
         assert!(n1.summary.p99_latency_ms <= slo.p99_ms);
         assert_eq!(n1.summary.rejected + n1.summary.lost + n1.summary.shed, 0);
-    }
-
-    #[test]
-    fn burst_scenario_rates() {
-        let s = BurstScenario {
-            on_rate_rps: 900.0,
-            mean_on_ms: 500.0,
-            mean_off_ms: 1_000.0,
-            horizon_ms: 10_000.0,
-            seed: 1,
-        };
-        assert!((s.duty_cycle() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((s.mean_rate_rps() - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reactive_beats_static_under_bursts() {
-        // The acceptance scenario: short intense bursts, long troughs.
-        // A static fleet sized for the p99 bound keeps every chip
-        // powered through the troughs; a reactive policy with the same
-        // ceiling must meet the same bound on fewer chip-seconds.
-        let cfg = ZkphireConfig::exemplar();
-        let mut cost_db = CostModel::new(cfg, true);
-        let per = cost_db.proof_ms(Gate::Jellyfish, 18);
-        let tm = TenantMix::single(mix());
-        let scenario = BurstScenario {
-            on_rate_rps: 6.0 * 1000.0 / per, // six chips' worth when ON
-            mean_on_ms: 60.0 * per,
-            mean_off_ms: 240.0 * per, // 20% duty cycle
-            horizon_ms: 1_500.0 * per,
-            seed: 5,
-        };
-        let slo = 30.0 * per;
-        let cmp = compare_provisioning(
-            &cfg,
-            &tm,
-            PolicyKind::SizeClass,
-            &scenario,
-            slo,
-            16,
-            &[
-                ScaleKind::QueueDepth {
-                    up_depth: 4,
-                    down_depth: 0,
-                },
-                ScaleKind::UtilizationTarget {
-                    low: 0.3,
-                    high: 0.9,
-                },
-            ],
-            2.0 * per,
-        )
-        .expect("static sizing feasible within 16 chips");
-        assert!(cmp.static_chips >= 2, "chips {}", cmp.static_chips);
-        let static_row = &cmp.rows[0];
-        assert!(static_row.meets_slo);
-        assert_eq!(cmp.rows.len(), 3);
-        let outcomes: Vec<(String, bool, f64)> = cmp
-            .rows
-            .iter()
-            .map(|r| (r.label.clone(), r.meets_slo, r.chip_seconds))
-            .collect();
-        let winner = cmp.rows[1..]
-            .iter()
-            .any(|r| r.meets_slo && r.chip_seconds < static_row.chip_seconds);
-        assert!(winner, "no reactive win: {outcomes:?}");
-        // Energy tracks chip-seconds through the chip's power model.
-        for r in &cmp.rows {
-            assert!((r.energy_kj - r.chip_seconds * cfg.power().total() / 1000.0).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -15,12 +15,9 @@
 //!
 //! * [`fleet_objective`] — sizes a *fleet* of chips against a p99
 //!   latency SLO and traffic level via the `zkphire-fleet`
-//!   discrete-event simulator, reporting the area/power cost roll-up,
-//!   and compares static peak sizing against reactive autoscaling
-//!   policies on bursty ON/OFF traffic
-//!   ([`fleet_objective::compare_provisioning`]): the cost of
-//!   over-provisioning in chip-seconds and kJ versus the SLO risk of
-//!   scaling up through a spin-up latency.
+//!   discrete-event simulator, reporting the area/power cost roll-up
+//!   ([`size_fleet`]), and buys redundancy by sizing for the SLO with
+//!   `k` chips down ([`size_fleet_n_minus_k`]).
 
 pub mod fleet_objective;
 pub mod objective;
@@ -28,10 +25,8 @@ pub mod pareto;
 pub mod space;
 
 pub use fleet_objective::{
-    compare_provisioning, evaluate_burst_fleet_with, evaluate_fleet,
-    evaluate_fleet_under_outage_with, evaluate_fleet_with, fleet_cost, size_fleet,
-    size_fleet_burst, size_fleet_n_minus_k, BurstScenario, FleetCost, FleetSizing, FleetSlo,
-    ProvisioningComparison, ProvisioningRow,
+    evaluate_fleet, evaluate_fleet_under_outage_with, evaluate_fleet_with, fleet_cost, size_fleet,
+    size_fleet_n_minus_k, FleetCost, FleetSizing, FleetSlo,
 };
 pub use objective::{select_design, sumcheck_dse, DesignScore, SumcheckDseResult};
 pub use pareto::{global_pareto, pareto_front, ParetoPoint};

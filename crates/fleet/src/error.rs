@@ -41,11 +41,6 @@ pub enum SimError {
         /// Event time (ms).
         time_ms: f64,
     },
-    /// A `ScaleTick` popped in a run with no autoscaler configured.
-    TickWithoutAutoscaler {
-        /// Event time (ms).
-        time_ms: f64,
-    },
     /// A `Retry` event popped for a request not parked in backoff.
     UnknownRetry {
         /// The unknown request id.
@@ -74,9 +69,6 @@ impl std::fmt::Display for SimError {
             }
             Self::ArrivalWithoutPending { id, time_ms } => {
                 write!(f, "arrival {id} at {time_ms} ms without pending request")
-            }
-            Self::TickWithoutAutoscaler { time_ms } => {
-                write!(f, "scale tick at {time_ms} ms without autoscaler")
             }
             Self::UnknownRetry { id, time_ms } => {
                 write!(f, "retry event at {time_ms} ms for unknown request {id}")

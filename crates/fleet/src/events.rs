@@ -35,8 +35,9 @@ impl Ord for SimTime {
 /// Several variants carry an `epoch`: the future-event list is a heap
 /// with no cancellation, so events that may be invalidated by a later
 /// state change (a batch lost to a chip failure, a failure armed for a
-/// chip the autoscaler since retired) are validated at pop time against
-/// the chip's current epoch counter and silently dropped when stale.
+/// chip that has failed and been repaired since) are validated at pop
+/// time against the chip's current epoch counter and silently dropped
+/// when stale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A request arrives from the front-end (its id).
@@ -49,24 +50,13 @@ pub enum Event {
         /// lost to a chip failure) when it no longer matches.
         epoch: u64,
     },
-    /// A spinning-up chip comes online (scheduled `spin_up_ms` after
-    /// the autoscaler's decision).
-    ChipUp {
-        /// Which chip.
-        chip: usize,
-    },
-    /// An idle chip selected for decommission powers off.
-    ChipDown {
-        /// Which chip.
-        chip: usize,
-    },
     /// A chip fails (MTBF draw from the [`crate::fault::FaultModel`]);
     /// any in-flight batch is lost.
     ChipFail {
         /// Which chip.
         chip: usize,
         /// Availability epoch captured when the failure was armed;
-        /// stale when the chip was retired/failed/recycled since.
+        /// stale when the chip has failed since.
         epoch: u64,
     },
     /// A failed chip finishes repair (MTTR) and rejoins the pool.
@@ -83,8 +73,6 @@ pub enum Event {
     /// A lost or timed-out request re-enters admission after its
     /// retry backoff (the request body is parked in the simulator).
     Retry(u64),
-    /// Periodic autoscaler evaluation point.
-    ScaleTick,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -10,27 +10,25 @@
 //! # DES design
 //!
 //! The simulator is an event loop over a binary-heap future-event list
-//! ([`events::EventQueue`]). Nine event kinds exist ([`events::Event`]):
-//! a request arrival, a chip finishing its batch, a chip coming up or
-//! going down under the autoscaler, a chip failing (drawn or scripted)
-//! or finishing repair, a parked request's retry, and the autoscaler's
-//! tick. Every tie on the f64 timestamp is
-//! broken by a monotone sequence number, and every random draw comes
-//! from an explicitly seeded [`rng::SplitMix64`] stream — no wall
-//! clock, no OS entropy — so a run is a pure function of
-//! `(config, seed)` and two runs with the same seed produce
-//! byte-identical traces ([`sim::SimReport::trace_hash`]).
+//! ([`events::EventQueue`]). Six event kinds exist ([`events::Event`]):
+//! a request arrival, a chip finishing its batch, a chip failing (drawn
+//! or scripted) or finishing repair, and a parked request's retry.
+//! Every tie on the f64 timestamp is broken by a monotone sequence
+//! number, and every random draw comes from an explicitly seeded
+//! [`rng::SplitMix64`] stream — no wall clock, no OS entropy — so a run
+//! is a pure function of `(config, seed)` and two runs with the same
+//! seed produce byte-identical traces ([`sim::SimReport::trace_hash`]).
 //!
 //! The pipeline per event:
 //!
 //! ```text
 //! arrivals ──► admission ──► batching policy ──► chip pool ──► records
-//! (Poisson,    (tenant cap,  (FIFO | size-class  (elastic:     (SLO +
-//!  ON/OFF,      then queue    | EDF | weighted-   autoscaler    fairness
-//!  trace,       capacity)     fair DRR)           grows/shrinks metrics)
-//!  per-tenant)       ▲              │             within bounds;
-//!                    │              ▼             chips fail and
-//!               retry backoff ◄── rescue ◄─────── repair)
+//! (Poisson,    (tenant cap,  (FIFO | size-class  (fixed size;  (SLO +
+//!  ON/OFF,      then queue    | EDF | weighted-   chips fail    fairness
+//!  trace,       capacity)     fair DRR)           and repair)   metrics)
+//!  per-tenant)       ▲              │                  │
+//!                    │              ▼                  │
+//!               retry backoff ◄── rescue ◄─────────────┘
 //!               (or lost)      (failed batch, expired deadline;
 //!                               brown-out sheds the queue instead)
 //! ```
@@ -59,15 +57,6 @@
 //!   five-step HyperPlonk schedule per `(gate, mu)` class — the DES
 //!   issues millions of cost queries but evaluates the protocol model
 //!   once per distinct class.
-//! * **Autoscaling** ([`scale`]) makes the pool elastic: a periodic
-//!   `ScaleTick` event feeds an [`scale::AutoscalePolicy`] (static
-//!   baseline, queue-depth hysteresis, or utilization band) whose
-//!   decisions the simulator realizes through `ChipUp` events after a
-//!   configurable spin-up latency and `ChipDown` events for idle
-//!   chips, clamped to `[min_chips, max_chips]` and rate-limited by a
-//!   cooldown. Chip-time actually provisioned is integrated into
-//!   [`metrics::FleetSummary::chip_seconds`] — the cost side of the
-//!   over- vs under-provisioning trade.
 //! * **Multi-tenancy**: every request carries a [`request::TenantId`]
 //!   drawn from a [`mix::TenantMix`] (per-tenant workload mixes and
 //!   traffic shares); the [`policy::WeightedFairPolicy`] runs deficit
@@ -77,26 +66,6 @@
 //!   throughput, per-chip utilization, queue depth, exact nearest-rank
 //!   p50/p95/p99 latency quantiles — globally and per tenant — plus
 //!   Jain's fairness index over weight-normalized completions.
-//!
-//! # Autoscaling at a glance
-//!
-//! The `repro autoscale` seeded run (ON/OFF bursts: 2000 rps for
-//! ~500 ms, then ~1500 ms silent — 25% duty cycle, two tenants,
-//! weighted-fair batching, p99 SLO 120 ms, 40 ms spin-up) compares the
-//! shipped policies against the statically sized optimum of 4 chips:
-//!
-//! | policy       | mean/peak chips | chip-seconds | p99 ms | SLO |
-//! |--------------|-----------------|--------------|--------|-----|
-//! | static       | 4.00 / 4        | 48.0         | 16.6   | met |
-//! | queue-depth  | 1.89 / 4        | 22.8         | 60.8   | met |
-//! | util-target  | 1.93 / 4        | 23.2         | 60.8   | met |
-//!
-//! Both reactive policies hold the SLO on less than half the static
-//! fleet's chip-seconds (these exact numbers are regenerated by
-//! `repro autoscale` and locked by the golden regression test in
-//! `tests/`). The savings are bought with spin-up latency — shrink the
-//! burst gaps or grow `spin_up_ms` and the advantage narrows, exactly
-//! the trade `zkphire_dse::compare_provisioning` quantifies.
 //!
 //! # Example
 //!
@@ -120,7 +89,6 @@ pub mod mix;
 pub mod policy;
 pub mod request;
 pub mod rng;
-pub mod scale;
 pub mod sim;
 
 pub use arrivals::{ArrivalSource, OnOffSource, PoissonSource, TraceSource};
@@ -138,10 +106,6 @@ pub use policy::{
 };
 pub use request::{OutcomeRecord, Request, RequestClass, RequestRecord, TenantId};
 pub use rng::SplitMix64;
-pub use scale::{
-    AutoscaleConfig, AutoscalePolicy, QueueDepthScale, ScaleDecision, ScaleKind, ScaleObservation,
-    StaticScale, UtilizationTargetScale,
-};
 pub use sim::{
     simulate, simulate_poisson_fleet, uniform_trace, FleetConfig, SimReport, TraceEntry,
 };

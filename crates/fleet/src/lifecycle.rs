@@ -25,9 +25,9 @@
 //!   dispatch and un-books the unrendered part on a failure; the
 //!   service books `finish − start` at completion. Each is pinned
 //!   bitwise by its own timeline.
-//! * **Chip state.** `Off` / `Pending` / `Retiring`, event epochs and
-//!   autoscaling exist only in the DES; the service has idle, busy and
-//!   repairing workers and one scripted failure source.
+//! * **Chip state.** Event epochs and random (MTBF) failures exist only
+//!   in the DES; the service has idle, busy and repairing workers and
+//!   one scripted failure source.
 //! * **Concurrency.** Admission under a mutex on submitter threads and
 //!   burst-draining of the control channel exist only live.
 //! * **Tracing and makespan.** Each side keeps its own format, and its

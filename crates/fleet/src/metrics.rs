@@ -189,11 +189,11 @@ pub struct FleetSummary {
     pub p99_latency_ms: f64,
     /// Worst-case latency (ms).
     pub max_latency_ms: f64,
-    /// Total busy time over total *provisioned* chip-time. For a fixed
-    /// pool this equals the mean of the per-chip busy fractions; under
-    /// autoscaling it charges only the chip-time actually kept online,
+    /// Total busy time over total *provisioned* chip-time. Without
+    /// failures this equals the mean of the per-chip busy fractions;
+    /// with them it charges only the chip-time actually kept online,
     /// so it diverges from `per_chip_utilization` (whose entries stay
-    /// relative to the whole makespan, including slots never powered).
+    /// relative to the whole makespan, including time spent failed).
     pub mean_utilization: f64,
     /// Busy fraction per chip.
     pub per_chip_utilization: Vec<f64>,
@@ -205,17 +205,13 @@ pub struct FleetSummary {
     pub mean_batch_size: f64,
     /// Fraction of completed requests that missed their deadline.
     pub deadline_miss_rate: f64,
-    /// Provisioned chip-time (chips online or spinning up, integrated
-    /// over the run) in seconds — the cost side of autoscaling.
+    /// Provisioned chip-time (chips online, integrated over the run) in
+    /// seconds; a failed chip stops counting until its repair.
     pub chip_seconds: f64,
     /// Time-weighted mean provisioned chip count.
     pub mean_chips: f64,
     /// Peak chips simultaneously provisioned.
     pub peak_chips: usize,
-    /// Chips the autoscaler brought online mid-run.
-    pub scale_ups: u64,
-    /// Chips the autoscaler retired mid-run.
-    pub scale_downs: u64,
     /// One slice per tenant seen in the run, ascending by id.
     pub per_tenant: Vec<TenantSummary>,
     /// Jain fairness index over weight-normalized per-tenant
@@ -270,16 +266,11 @@ pub struct RunAccumulators {
     pub chip_repairs: u64,
     /// Timestamp of the last event (ms).
     pub makespan_ms: f64,
-    /// Integral of provisioned chips over time (chips × ms). Covers
-    /// online, retiring and spinning-up chips — everything drawing
-    /// power.
+    /// Integral of provisioned chips over time (chips × ms): every
+    /// chip not failed.
     pub chip_time_integral_ms: f64,
     /// Peak provisioned chip count.
     pub peak_chips: usize,
-    /// Mid-run scale-up count.
-    pub scale_ups: u64,
-    /// Mid-run scale-down count.
-    pub scale_downs: u64,
 }
 
 /// Sorted latencies → `(mean, p50, p95, p99)`; zeros for an empty run.
@@ -397,9 +388,9 @@ pub fn try_summarize(
         .iter()
         .map(|b| if makespan > 0.0 { b / makespan } else { 0.0 })
         .collect();
-    // Busy time over *provisioned* time: for a static pool this equals
-    // the mean of per-chip busy fractions; with autoscaling it charges
-    // only the chip-time actually kept online.
+    // Busy time over *provisioned* time: without failures this equals
+    // the mean of per-chip busy fractions; with them it charges only
+    // the chip-time actually kept online.
     let mean_utilization = if acc.chip_time_integral_ms > 0.0 {
         acc.busy_ms.iter().sum::<f64>() / acc.chip_time_integral_ms
     } else {
@@ -457,8 +448,6 @@ pub fn try_summarize(
             0.0
         },
         peak_chips: acc.peak_chips,
-        scale_ups: acc.scale_ups,
-        scale_downs: acc.scale_downs,
         per_tenant,
         jain_fairness,
     })

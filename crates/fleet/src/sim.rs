@@ -1,7 +1,6 @@
 //! The fleet simulator: admission → queue → batch → chip pool, driven by
-//! the event engine. The pool itself is elastic: an optional
-//! [`AutoscaleConfig`] lets `ScaleTick` / `ChipUp` / `ChipDown` events
-//! vary the online chip count mid-run between configured bounds.
+//! the event engine. The pool is fixed at [`FleetConfig::chips`] slots;
+//! only failures and repairs change how many of them serve.
 //!
 //! On top of the happy path sits an opt-in resilience layer (see
 //! [`crate::fault`] and `docs/RESILIENCE.md`):
@@ -31,9 +30,6 @@ use crate::lifecycle::{AdmissionLedger, Lifecycle, Readmit, Rescue};
 use crate::metrics::{try_summarize, FleetSummary, RunAccumulators};
 use crate::policy::PolicyKind;
 use crate::request::{Request, RequestClass, RequestRecord, TenantId};
-use crate::scale::{
-    AutoscaleConfig, AutoscalePolicy, ScaleDecision, ScaleObservation, TenantWeights,
-};
 use zkphire_core::costdb::CostModel;
 use zkphire_telemetry::{AdmissionOutcome, SimTimeline};
 
@@ -45,9 +41,7 @@ pub use crate::error::SimError;
 /// Deployment and policy knobs for one simulation.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
-    /// Chips in the pool. With autoscaling enabled this is the
-    /// *initial* online count (clamped to the autoscaler's bounds);
-    /// without it, the fixed pool size.
+    /// Chips in the pool.
     pub chips: usize,
     /// Batching policy.
     pub policy: PolicyKind,
@@ -65,11 +59,9 @@ pub struct FleetConfig {
     pub deadline_factor: f64,
     /// Additive deadline slack (ms).
     pub deadline_slack_ms: f64,
-    /// Reactive pool sizing; `None` keeps the pool fixed at `chips`.
-    pub autoscale: Option<AutoscaleConfig>,
     /// Per-tenant service weights for [`PolicyKind::WeightedFair`] and
     /// the Jain fairness index; tenants absent here weigh 1.
-    pub tenant_weights: TenantWeights,
+    pub tenant_weights: Vec<(TenantId, f64)>,
     /// Chip failure injection; `None` = chips never fail (legacy).
     pub faults: Option<FaultConfig>,
     /// Rescue for lost or deadline-expired work; `None` = no retries,
@@ -104,7 +96,6 @@ impl FleetConfig {
             batch_overhead_ms: 1.0,
             deadline_factor: 5.0,
             deadline_slack_ms: 50.0,
-            autoscale: None,
             tenant_weights: Vec::new(),
             faults: None,
             retry: None,
@@ -143,14 +134,8 @@ impl FleetConfig {
         self
     }
 
-    /// Enables reactive pool sizing (builder style).
-    pub fn with_autoscale(mut self, autoscale: AutoscaleConfig) -> Self {
-        self.autoscale = Some(autoscale);
-        self
-    }
-
     /// Sets per-tenant service weights (builder style).
-    pub fn with_tenant_weights(mut self, weights: TenantWeights) -> Self {
+    pub fn with_tenant_weights(mut self, weights: Vec<(TenantId, f64)>) -> Self {
         self.tenant_weights = weights;
         self
     }
@@ -227,20 +212,6 @@ pub enum TraceEntry {
         /// Batch size.
         size: usize,
     },
-    /// The autoscaler brought a chip online.
-    ChipUp {
-        /// Event time (ms).
-        time_ms: f64,
-        /// Chip index.
-        chip: usize,
-    },
-    /// The autoscaler retired a chip.
-    ChipDown {
-        /// Event time (ms).
-        time_ms: f64,
-        /// Chip index.
-        chip: usize,
-    },
     /// A chip failed, losing any in-flight batch.
     ChipFail {
         /// Event time (ms).
@@ -292,7 +263,7 @@ pub struct SimReport {
     /// Per-request completion records, in completion order.
     pub records: Vec<RequestRecord>,
     /// The full decision trace (admissions, dispatches, completions,
-    /// chip power transitions, failures, retries, sheds).
+    /// failures, repairs, retries, sheds).
     pub trace: Vec<TraceEntry>,
     /// FNV-1a hash of the trace — two runs are identical iff equal.
     pub trace_hash: u64,
@@ -304,17 +275,10 @@ pub struct SimReport {
 /// Lifecycle of one pool slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ChipState {
-    /// Powered off; invisible to dispatch.
-    Off,
-    /// Spin-up decided; comes online at its `ChipUp` event.
-    Pending,
     /// Online and accepting batches.
     Up,
-    /// Idle chip selected for decommission; its `ChipDown` event is in
-    /// flight and dispatch must not grab it.
-    Retiring,
-    /// Failed; invisible to dispatch and to the autoscaler until its
-    /// `ChipRepair` event brings it back.
+    /// Failed; invisible to dispatch until its `ChipRepair` event
+    /// brings it back.
     Failed,
 }
 
@@ -344,9 +308,8 @@ impl Chip {
 
 /// Runs the discrete-event simulation to completion: all arrivals from
 /// `source` flow through admission and batching onto the simulated chip
-/// pool, whose service times come from `cost`, whose size the optional
-/// autoscaler varies within its bounds, and whose chips fail and repair
-/// per the optional fault model.
+/// pool, whose service times come from `cost` and whose chips fail and
+/// repair per the optional fault model.
 pub fn simulate<S: ArrivalSource>(
     cfg: &FleetConfig,
     source: &mut S,
@@ -361,19 +324,15 @@ pub fn simulate<S: ArrivalSource>(
             cfg.batch_overhead_ms
         )));
     }
-    let (slots, initial_online) = match &cfg.autoscale {
-        Some(a) => (a.max_chips, cfg.chips.clamp(a.min_chips, a.max_chips)),
-        None => (cfg.chips, cfg.chips),
-    };
     if let Some(FaultConfig {
         kind: FaultKind::Scripted { outages },
         ..
     }) = &cfg.faults
     {
-        if let Some(bad) = outages.iter().find(|o| o.chip >= slots) {
+        if let Some(bad) = outages.iter().find(|o| o.chip >= cfg.chips) {
             return Err(SimError::InvalidConfig(format!(
-                "scripted outage names chip {} of a {slots}-slot pool",
-                bad.chip
+                "scripted outage names chip {} of a {}-slot pool",
+                bad.chip, cfg.chips
             )));
         }
     }
@@ -388,21 +347,16 @@ pub fn simulate<S: ArrivalSource>(
             // Backoff jitter draws from the fault seed's own stream.
             cfg.faults.as_ref().map_or(0, |f| f.seed),
             RunAccumulators {
-                busy_ms: vec![0.0; slots],
-                peak_chips: initial_online,
+                busy_ms: vec![0.0; cfg.chips],
+                peak_chips: cfg.chips,
                 ..Default::default()
             },
         ),
         ledger: AdmissionLedger::new(&cfg.tenant_caps, cfg.default_tenant_cap, cfg.queue_capacity),
-        scaler: cfg.autoscale.as_ref().map(|a| a.kind.build()),
         faults: cfg.faults.clone().map(FaultModel::new),
-        chips: (0..slots)
-            .map(|i| Chip {
-                state: if i < initial_online {
-                    ChipState::Up
-                } else {
-                    ChipState::Off
-                },
+        chips: (0..cfg.chips)
+            .map(|_| Chip {
+                state: ChipState::Up,
                 busy: false,
                 busy_ms: 0.0,
                 batch: Vec::new(),
@@ -412,15 +366,12 @@ pub fn simulate<S: ArrivalSource>(
                 dispatch_epoch: 0,
             })
             .collect(),
-        provisioned: initial_online,
-        pending_up: 0,
-        last_scale_action_ms: f64::NEG_INFINITY,
-        initial_online,
+        provisioned: cfg.chips,
         records: Vec::new(),
         trace: Vec::new(),
         pending: None,
         next_id: 0,
-        timeline: cfg.telemetry.then(|| SimTimeline::new(slots)),
+        timeline: cfg.telemetry.then(|| SimTimeline::new(cfg.chips)),
     };
     engine.run(source, cost)
 }
@@ -438,13 +389,10 @@ struct Engine<'a> {
     /// Admission caps and counts; its queued total always equals
     /// `life.depth()` here, since an admitted request queues at once.
     ledger: AdmissionLedger,
-    scaler: Option<Box<dyn AutoscalePolicy>>,
     faults: Option<FaultModel>,
     chips: Vec<Chip>,
+    /// Chips not failed: what the chip-time integral and brown-out count.
     provisioned: usize,
-    pending_up: usize,
-    last_scale_action_ms: f64,
-    initial_online: usize,
     records: Vec<RequestRecord>,
     trace: Vec<TraceEntry>,
     /// The one arrival in flight; its body parks here until its event
@@ -465,10 +413,7 @@ impl Engine<'_> {
     ) -> Result<SimReport, SimError> {
         self.pending = self.prime(source, cost)?;
         if self.pending.is_some() {
-            if let Some(a) = &self.cfg.autoscale {
-                self.queue.try_push(a.interval_ms, Event::ScaleTick)?;
-            }
-            for chip in 0..self.initial_online {
+            for chip in 0..self.cfg.chips {
                 self.arm_failure(chip, 0.0)?;
             }
             let outage_times: Vec<f64> = self
@@ -504,23 +449,11 @@ impl Engine<'_> {
                     self.on_batch_done(chip, epoch, now);
                     true
                 }
-                Event::ChipUp { chip } => {
-                    self.on_chip_up(chip, now)?;
-                    true
-                }
-                Event::ChipDown { chip } => {
-                    self.on_chip_down(chip, now);
-                    true
-                }
                 Event::ChipFail { chip, epoch } => self.on_chip_fail(chip, epoch, now)?,
                 Event::ChipRepair { chip, epoch } => self.on_chip_repair(chip, epoch, now)?,
                 Event::ScriptedFail(idx) => self.on_scripted_fail(idx, now)?,
                 Event::Retry(id) => {
                     self.on_retry(id, now, cost)?;
-                    true
-                }
-                Event::ScaleTick => {
-                    self.on_scale_tick(now)?;
                     true
                 }
             };
@@ -709,28 +642,6 @@ impl Engine<'_> {
         }
     }
 
-    fn on_chip_up(&mut self, chip: usize, now: f64) -> Result<(), SimError> {
-        let c = &mut self.chips[chip];
-        debug_assert_eq!(c.state, ChipState::Pending);
-        c.state = ChipState::Up;
-        c.avail_epoch += 1;
-        self.pending_up -= 1;
-        self.life.acc.scale_ups += 1;
-        self.trace.push(TraceEntry::ChipUp { time_ms: now, chip });
-        self.arm_failure(chip, now)
-    }
-
-    fn on_chip_down(&mut self, chip: usize, now: f64) {
-        let c = &mut self.chips[chip];
-        debug_assert_eq!(c.state, ChipState::Retiring);
-        debug_assert!(!c.busy, "retiring a busy chip");
-        c.state = ChipState::Off;
-        c.avail_epoch += 1;
-        self.provisioned -= 1;
-        self.life.acc.scale_downs += 1;
-        self.trace.push(TraceEntry::ChipDown { time_ms: now, chip });
-    }
-
     /// Arms the next random failure of an online chip — only while the
     /// run still has work, so trailing fail/repair cycles cannot keep
     /// an otherwise-drained simulation alive.
@@ -820,7 +731,6 @@ impl Engine<'_> {
         c.state = ChipState::Up;
         c.avail_epoch += 1;
         self.provisioned += 1;
-        self.life.acc.peak_chips = self.life.acc.peak_chips.max(self.provisioned);
         self.life.acc.chip_repairs += 1;
         self.trace
             .push(TraceEntry::ChipRepair { time_ms: now, chip });
@@ -831,142 +741,21 @@ impl Engine<'_> {
         Ok(true)
     }
 
-    fn online_count(&self) -> usize {
-        self.chips
-            .iter()
-            .filter(|c| c.state == ChipState::Up)
-            .count()
-    }
-
     /// Whether the run still has anything to do: future arrivals,
-    /// queued or in-flight batches, chips spinning up, or requests
-    /// parked in retry backoff.
+    /// queued or in-flight batches, or requests parked in retry backoff.
     fn work_remains(&self) -> bool {
         self.pending.is_some()
             || self.life.depth() > 0
-            || self.pending_up > 0
             || self.life.parked() > 0
             || self.chips.iter().any(|c| c.busy)
     }
 
-    fn on_scale_tick(&mut self, now: f64) -> Result<(), SimError> {
-        let Some(a) = self.cfg.autoscale.clone() else {
-            return Err(SimError::TickWithoutAutoscaler { time_ms: now });
-        };
-        if self.scaler.is_none() {
-            return Err(SimError::TickWithoutAutoscaler { time_ms: now });
-        }
-        let online = self.online_count();
-        let busy = self
-            .chips
-            .iter()
-            .filter(|c| c.state == ChipState::Up && c.busy)
-            .count();
-        let failed = self
-            .chips
-            .iter()
-            .filter(|c| c.state == ChipState::Failed)
-            .count();
-        let obs = ScaleObservation {
-            now_ms: now,
-            queue_depth: self.life.depth(),
-            online_chips: online,
-            busy_chips: busy,
-            pending_up: self.pending_up,
-            failed_chips: failed,
-            min_chips: a.min_chips,
-            max_chips: a.max_chips,
-        };
-        if now - self.last_scale_action_ms >= a.cooldown_ms {
-            let Some(scaler) = self.scaler.as_mut() else {
-                return Err(SimError::TickWithoutAutoscaler { time_ms: now });
-            };
-            let decision = scaler.decide(&obs);
-            if self.apply_decision(decision, &a, &obs)? {
-                self.last_scale_action_ms = now;
-            }
-        }
-        // Keep ticking only while the system still has work.
-        if self.work_remains() {
-            self.queue.try_push(now + a.interval_ms, Event::ScaleTick)?;
-        }
-        Ok(())
-    }
-
-    /// Realizes one autoscaler decision, clamped to the pool bounds and
-    /// to the chips actually available. Returns whether anything
-    /// changed.
-    fn apply_decision(
-        &mut self,
-        decision: ScaleDecision,
-        a: &AutoscaleConfig,
-        obs: &ScaleObservation,
-    ) -> Result<bool, SimError> {
-        let now = self.queue.now();
-        match decision {
-            ScaleDecision::Hold => Ok(false),
-            ScaleDecision::Up(want) => {
-                let headroom = a.max_chips.saturating_sub(obs.committed_chips());
-                let add = want.min(headroom);
-                let mut added = 0;
-                for i in 0..self.chips.len() {
-                    if added == add {
-                        break;
-                    }
-                    let c = &mut self.chips[i];
-                    if c.state == ChipState::Off {
-                        c.state = ChipState::Pending;
-                        c.avail_epoch += 1;
-                        self.provisioned += 1;
-                        self.pending_up += 1;
-                        self.queue
-                            .try_push(now + a.spin_up_ms, Event::ChipUp { chip: i })?;
-                        added += 1;
-                    }
-                }
-                self.life.acc.peak_chips = self.life.acc.peak_chips.max(self.provisioned);
-                Ok(added > 0)
-            }
-            ScaleDecision::Down(want) => {
-                // Only idle online chips retire, and never below the
-                // floor. The floor counts *online* chips only (not
-                // spin-ups in flight), so the serving pool itself never
-                // dips under `min_chips` — an invariant the property
-                // suite replays from the trace.
-                let idle = obs.online_chips - obs.busy_chips;
-                let above_floor = obs.online_chips.saturating_sub(a.min_chips);
-                let drop = want.min(idle).min(above_floor);
-                let mut dropped = 0;
-                // Highest index first, keeping low slots stable/hot.
-                for i in (0..self.chips.len()).rev() {
-                    if dropped == drop {
-                        break;
-                    }
-                    let c = &mut self.chips[i];
-                    if c.state == ChipState::Up && !c.busy {
-                        c.state = ChipState::Retiring;
-                        c.avail_epoch += 1;
-                        self.queue.try_push(now, Event::ChipDown { chip: i })?;
-                        dropped += 1;
-                    }
-                }
-                Ok(dropped > 0)
-            }
-        }
-    }
-
-    /// Brown-out ([`Lifecycle::shed`]) against the online share of the
-    /// initial pool.
+    /// Brown-out ([`Lifecycle::shed`]) against the share of the pool
+    /// not failed.
     fn shed_if_browned_out(&mut self, now: f64) -> Result<(), SimError> {
-        // Runs after every event: do not count chips for a policy that
-        // does not exist.
-        if self.cfg.brown_out.is_none() {
-            return Ok(());
-        }
-        let online = self.online_count();
         let victims = self
             .life
-            .shed(&mut self.ledger, online, self.initial_online)?;
+            .shed(&mut self.ledger, self.provisioned, self.cfg.chips)?;
         for v in victims {
             self.trace.push(TraceEntry::Shed {
                 time_ms: now,
@@ -1026,7 +815,9 @@ impl Engine<'_> {
     }
 }
 
-/// FNV-1a over the trace's raw fields (f64 times by bit pattern).
+/// FNV-1a over the trace's raw fields (f64 times by bit pattern). Each
+/// entry kind mixes a fixed tag first. Tags 5 and 6 stay unused:
+/// renumbering the rest would move every pinned trace hash.
 fn hash_trace(trace: &[TraceEntry]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |x: u64| {
@@ -1078,16 +869,6 @@ fn hash_trace(trace: &[TraceEntry]) -> u64 {
                 mix(time_ms.to_bits());
                 mix(chip as u64);
                 mix(size as u64);
-            }
-            TraceEntry::ChipUp { time_ms, chip } => {
-                mix(5);
-                mix(time_ms.to_bits());
-                mix(chip as u64);
-            }
-            TraceEntry::ChipDown { time_ms, chip } => {
-                mix(6);
-                mix(time_ms.to_bits());
-                mix(chip as u64);
             }
             TraceEntry::ChipFail { time_ms, chip } => {
                 mix(7);
@@ -1166,10 +947,9 @@ pub fn uniform_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::{OnOffSource, PoissonSource};
+    use crate::arrivals::PoissonSource;
     use crate::fault::ChipOutage;
     use crate::mix::{TenantMix, TenantProfile, WorkloadMix};
-    use crate::scale::ScaleKind;
     use zkphire_core::protocol::Gate;
 
     fn small_run(policy: PolicyKind, seed: u64) -> SimReport {
@@ -1177,28 +957,6 @@ mod tests {
         let mix = WorkloadMix::table_vii_jellyfish(19);
         let mut source = PoissonSource::new(40.0, 2_000.0, mix, seed);
         let cfg = FleetConfig::new(3).with_policy(policy);
-        simulate(&cfg, &mut source, &mut cost).expect("sim")
-    }
-
-    fn two_tenant_mix() -> TenantMix {
-        TenantMix::new(vec![
-            TenantProfile::new(1, 2.0, WorkloadMix::table_vii_jellyfish(18)),
-            TenantProfile::new(2, 1.0, WorkloadMix::table_vii_jellyfish(20)),
-        ])
-    }
-
-    fn autoscaled_run(kind: ScaleKind, seed: u64) -> SimReport {
-        let mut cost = CostModel::exemplar();
-        let mut source = OnOffSource::new(900.0, 400.0, 1_200.0, 6_000.0, two_tenant_mix(), seed);
-        let cfg = FleetConfig::new(1)
-            .with_policy(PolicyKind::WeightedFair)
-            .with_tenant_weights(vec![(1, 2.0), (2, 1.0)])
-            .with_autoscale(
-                AutoscaleConfig::new(kind, 1, 6)
-                    .with_spin_up_ms(50.0)
-                    .with_cooldown_ms(100.0)
-                    .with_interval_ms(25.0),
-            );
         simulate(&cfg, &mut source, &mut cost).expect("sim")
     }
 
@@ -1310,68 +1068,6 @@ mod tests {
         let two = simulate_poisson_fleet(2, 120.0, 4_000.0, PolicyKind::SizeClass, 11);
         let eight = simulate_poisson_fleet(8, 120.0, 4_000.0, PolicyKind::SizeClass, 11);
         assert!(eight.summary.p99_latency_ms <= two.summary.p99_latency_ms);
-    }
-
-    #[test]
-    fn autoscaled_runs_are_deterministic_and_bounded() {
-        for kind in [
-            ScaleKind::QueueDepth {
-                up_depth: 4,
-                down_depth: 0,
-            },
-            ScaleKind::UtilizationTarget {
-                low: 0.3,
-                high: 0.95,
-            },
-        ] {
-            let a = autoscaled_run(kind, 31);
-            let b = autoscaled_run(kind, 31);
-            assert_eq!(a.trace, b.trace, "{kind:?} trace diverged");
-            assert_eq!(a.trace_hash, b.trace_hash);
-            // The pool actually moved.
-            assert!(a.summary.scale_ups > 0, "{kind:?} never scaled up");
-            assert!(a.summary.scale_downs > 0, "{kind:?} never scaled down");
-            // Bounds hold at every instant: replay the power trace.
-            let mut online = 1i64; // initial = cfg.chips clamped to [1, 6]
-            for e in &a.trace {
-                match e {
-                    TraceEntry::ChipUp { .. } => online += 1,
-                    TraceEntry::ChipDown { .. } => online -= 1,
-                    _ => {}
-                }
-                assert!((1..=6).contains(&online), "{kind:?} pool left [1,6]");
-            }
-            assert!(a.summary.peak_chips <= 6);
-            assert!(a.summary.mean_chips >= 1.0 - 1e-9);
-            assert!(a.summary.mean_chips <= 6.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn static_autoscaler_matches_fixed_pool_metrics() {
-        let mut cost = CostModel::exemplar();
-        let mix = WorkloadMix::table_vii_jellyfish(19);
-        let mut src_a = PoissonSource::new(150.0, 3_000.0, mix.clone(), 9);
-        let fixed = simulate(&FleetConfig::new(3), &mut src_a, &mut cost).expect("sim");
-        let mut src_b = PoissonSource::new(150.0, 3_000.0, mix, 9);
-        let scaled_cfg =
-            FleetConfig::new(3).with_autoscale(AutoscaleConfig::new(ScaleKind::Static, 3, 3));
-        let auto = simulate(&scaled_cfg, &mut src_b, &mut cost).expect("sim");
-        // Static autoscaling must not change what requests experience.
-        assert_eq!(fixed.summary.completed, auto.summary.completed);
-        assert_eq!(auto.summary.scale_ups, 0);
-        assert_eq!(auto.summary.scale_downs, 0);
-        assert_eq!(fixed.summary.p99_latency_ms, auto.summary.p99_latency_ms);
-        // The autoscaled run's makespan can run up to one tick interval
-        // past the last completion, so chip-time agrees to 3 chips ×
-        // 100 ms of slack.
-        let slack = 3.0 * 0.1;
-        assert!(
-            (fixed.summary.chip_seconds - auto.summary.chip_seconds).abs() <= slack + 1e-9,
-            "fixed {} vs auto {}",
-            fixed.summary.chip_seconds,
-            auto.summary.chip_seconds
-        );
     }
 
     #[test]

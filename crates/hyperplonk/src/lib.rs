@@ -40,7 +40,7 @@ pub use keys::{setup, setup_with_threads, ProvingKey, VerifyingKey};
 pub use permutation::{
     build_permutation_data, id_eval, index_point, root_index, sigma_mles, PermutationData,
 };
-pub use proof::HyperPlonkProof;
+pub use proof::{proof_size_bytes, HyperPlonkProof};
 pub use prover::{prove, prove_with_config, ProverConfig};
 pub use verifier::{verify, HyperPlonkError};
 
@@ -70,6 +70,24 @@ mod tests {
     fn jellyfish_end_to_end() {
         let (vk, proof) = roundtrip(GateSystem::Jellyfish, 5, 2);
         verify(&vk, &proof, &mut Transcript::new(b"test")).unwrap();
+    }
+
+    #[test]
+    fn proof_size_formula_matches_real_proofs() {
+        for (system, sizes) in [
+            (GateSystem::Vanilla, [3_360, 4_352, 5_840]),
+            (GateSystem::Jellyfish, [4_896, 6_208, 8_176]),
+        ] {
+            for (mu, want) in [3usize, 5, 8].into_iter().zip(sizes) {
+                let (_, proof) = roundtrip(system, mu, 3);
+                assert_eq!(proof.size_bytes(), want, "{system:?} µ {mu}: real proof");
+                assert_eq!(
+                    proof_size_bytes(system, mu),
+                    want,
+                    "{system:?} µ {mu}: formula"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 
 use zkphire_field::Fr;
 use zkphire_pcs::{Commitment, OpeningProof};
+use zkphire_poly::CompositePoly;
 use zkphire_sumcheck::SumCheckProof;
 
 use crate::circuit::GateSystem;
+use crate::prover::opencheck_composite;
 
 /// A complete HyperPlonk proof (paper §IV-A's five steps).
 #[derive(Clone, Debug)]
@@ -44,6 +46,33 @@ impl HyperPlonkProof {
             + self.opening.size_bytes()
             + 32
     }
+}
+
+/// [`HyperPlonkProof::size_bytes`] of every `system` proof over
+/// `2^num_vars` gate rows, read off the protocol's layout instead of a
+/// proof.
+pub fn proof_size_bytes(system: GateSystem, num_vars: usize) -> usize {
+    // A SumCheck ships its claimed sum, `degree + 1` evaluations per
+    // round and one final evaluation per table.
+    let sumcheck = |poly: &CompositePoly| 1 + num_vars * (poly.degree() + 1) + poly.num_mles();
+    let layout = claim_layout(system);
+    let k_p = num_distinct_polys(system);
+    // Witnesses and sigmas at the PermCheck point are the claims no
+    // SumCheck binds (the root claim is the constant one).
+    let extra_evals = layout
+        .iter()
+        .filter(|&&(poly, at)| at == 1 && poly < k_p - 4)
+        .count();
+    let opencheck = opencheck_composite(system, &vec![Fr::ONE; layout.len()]);
+    // The three SumChecks, the unbound evaluations and the opening value.
+    let scalars = sumcheck(&system.gate().poly)
+        + sumcheck(&system.perm_gate().poly)
+        + extra_evals
+        + sumcheck(&opencheck)
+        + 1;
+    // Witness and wiring commitments, then one quotient per variable.
+    let points = system.num_witness_columns() + 4 + num_vars;
+    points * Commitment::COMPRESSED_SIZE + scalars * 32
 }
 
 /// Identifies one committed polynomial in the canonical opening order:

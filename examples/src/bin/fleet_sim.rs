@@ -2,22 +2,22 @@
 //!
 //! Walks one scenario end to end: steady Poisson traffic, then a bursty
 //! ON/OFF front, on fleets of growing size; asks the DSE layer how many
-//! chips a 50 ms p99 SLO actually needs; then lets a reactive
-//! autoscaler ride the bursts and shows what weighted-fair batching
-//! buys a light tenant sharing the fleet with a flooder.
+//! chips a 50 ms p99 SLO actually needs; shows what weighted-fair
+//! batching buys a light tenant sharing the fleet with a flooder; and
+//! takes a chip down under load.
 //!
 //! Run with `cargo run --release -p zkphire-examples --bin fleet_sim`.
 //! Pass `--trace out.json` to also dump the chip-utilization timeline
-//! of the failure scenario (step 6) as a Chrome trace-event file —
+//! of the failure scenario (step 5) as a Chrome trace-event file —
 //! load it in Perfetto and the 1-of-4-chip outage is visible as a gap
 //! in chip 0's track.
 
 use zkphire_core::costdb::CostModel;
 use zkphire_core::system::ZkphireConfig;
-use zkphire_dse::{compare_provisioning, size_fleet, BurstScenario, FleetSlo};
+use zkphire_dse::{size_fleet, FleetSlo};
 use zkphire_fleet::{
     simulate, BrownOutConfig, ChipOutage, FaultConfig, FleetConfig, OnOffSource, PoissonSource,
-    PolicyKind, RetryPolicy, ScaleKind, TenantMix, TenantProfile, WorkloadMix,
+    PolicyKind, RetryPolicy, TenantMix, TenantProfile, WorkloadMix,
 };
 
 fn main() {
@@ -99,53 +99,7 @@ fn main() {
         }
     }
 
-    // 4. Reactive autoscaling on the bursty front: same p99 discipline,
-    //    far fewer chip-seconds than the static peak sizing.
-    println!("\n— autoscaling vs static sizing, ON/OFF bursts, p99 <= 150 ms —");
-    let scenario = BurstScenario {
-        on_rate_rps: 1800.0,
-        mean_on_ms: 400.0,
-        mean_off_ms: 1200.0,
-        horizon_ms: 10_000.0,
-        seed,
-    };
-    let reactive = [
-        ScaleKind::QueueDepth {
-            up_depth: 4,
-            down_depth: 0,
-        },
-        ScaleKind::UtilizationTarget {
-            low: 0.3,
-            high: 0.9,
-        },
-    ];
-    match compare_provisioning(
-        &chip,
-        &TenantMix::single(mix.clone()),
-        PolicyKind::SizeClass,
-        &scenario,
-        150.0,
-        32,
-        &reactive,
-        50.0,
-    ) {
-        Some(cmp) => {
-            for r in &cmp.rows {
-                println!(
-                    "{:12} mean {:4.2} / peak {:2} chips  {:6.1} chip-s  p99 {:7.2} ms  SLO {}",
-                    r.label,
-                    r.summary.mean_chips,
-                    r.summary.peak_chips,
-                    r.chip_seconds,
-                    r.summary.p99_latency_ms,
-                    if r.meets_slo { "met" } else { "MISSED" },
-                );
-            }
-        }
-        None => println!("static sizing infeasible within 32 chips"),
-    }
-
-    // 5. Multi-tenant fairness: a flooding wallet fleet vs a light
+    // 4. Multi-tenant fairness: a flooding wallet fleet vs a light
     //    rollup tenant on the same two chips.
     println!("\n— noisy neighbor: tenant 1 floods 9:1; tenant 2's p99, 2 chips —");
     let flood = TenantMix::new(vec![
@@ -174,7 +128,7 @@ fn main() {
         );
     }
 
-    // 6. Resilience: one of four chips dies for 1.5 s under heavy load.
+    // 5. Resilience: one of four chips dies for 1.5 s under heavy load.
     //    A fault-blind fleet loses the in-flight batch and serves stale
     //    work; retries plus brown-out shedding keep the goodput up.
     println!("\n— chip failure: 1 of 4 chips down 1.5 s; retries + brown-out —");
@@ -203,7 +157,7 @@ fn main() {
         );
     }
 
-    // 7. Optional timeline export: the resilient variant again, with
+    // 6. Optional timeline export: the resilient variant again, with
     //    the sim-time recorder on, dumped as a Perfetto-loadable trace.
     if let Some(path) = trace_path {
         let cfg = FleetConfig::new(4)

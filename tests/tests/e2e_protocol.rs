@@ -62,7 +62,7 @@ fn copy_constraint_violation_rejected_end_to_end() {
     // identity still holds; only σ-consistency is now broken.
     let (col, row) = (cell / n, cell % n);
     if col == circuit.system.num_witness_columns() - 1 {
-        return; // output cells rewire differently; skip this seed's corner
+        panic!("seed 77 must pick an input cell: output cells rewire differently");
     }
     let forged = witness.columns[col].evals()[row] + Fr::ONE;
     witness.columns[col].evals_mut()[row] = forged;
@@ -80,7 +80,10 @@ fn copy_constraint_violation_rejected_end_to_end() {
     let (pk, vk) = setup(circuit, &mut rng);
     let proof = prove(&pk, &witness, &mut Transcript::new(b"e2e"));
     let result = verify(&vk, &proof, &mut Transcript::new(b"e2e"));
-    assert!(result.is_err(), "copy violation must be rejected");
+    assert!(
+        matches!(result, Err(HyperPlonkError::ClaimSumMismatch)),
+        "copy violation must break the OpenCheck claim sum: {result:?}"
+    );
 }
 
 #[test]

@@ -1,13 +1,15 @@
-//! Golden determinism regression for the fleet-facing repro
-//! experiments: `repro fleet`, `repro autoscale`, `repro faults`,
-//! `repro obs` and `repro net` must be pure functions of their fixed
-//! seeds (`net` keeps wall-clock latencies out of stdout for exactly
-//! this reason — only chaos verdicts and integer counters are pinned). Two same-process runs are compared
-//! byte for byte, and a small checked-in summary
-//! (`tests/golden/repro_summary.txt`) pins the exact output across
-//! commits so CI catches determinism drift — a changed RNG draw order,
-//! a reordered event tie-break, a float reassociation — even when each
-//! individual run is still self-consistent.
+//! Golden determinism regression for the repro experiments. The
+//! fleet-facing ones — `repro fleet`, `repro faults`, `repro obs` and
+//! `repro net` — must be pure functions of their fixed seeds (`net`
+//! keeps wall-clock latencies out of stdout for exactly this reason —
+//! only chaos verdicts and integer counters are pinned). Two same-process
+//! runs of each are compared byte for byte, and a small checked-in
+//! summary (`tests/golden/repro_summary.txt`) pins the exact output
+//! across commits so CI catches determinism drift — a changed RNG draw
+//! order, a reordered event tie-break, a float reassociation — even when
+//! each individual run is still self-consistent. The same summary pins
+//! every paper table and figure, so a model change that moves a printed
+//! number has to regenerate the golden file on purpose.
 //!
 //! The golden file was generated on Linux/glibc (the CI platform). The
 //! simulator itself is IEEE-754-deterministic, but `f64::ln` (used for
@@ -19,13 +21,38 @@
 use zkphire_bench::experiments;
 use zkphire_tests::fnv1a;
 
-const EXPERIMENTS: [&str; 5] = ["fleet", "autoscale", "faults", "obs", "net"];
+/// The seeded fleet experiments, run twice for byte equality.
+const FLEET_FACING: [&str; 4] = ["fleet", "faults", "obs", "net"];
+
+/// Every paper table and figure, in registry order. Single-threaded
+/// model evaluations, so one run each in the summary pins them.
+const PAPER: [&str; 19] = [
+    "table1",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "table2",
+    "table3",
+    "fig10",
+    "fig11",
+    "fig12",
+    "table5",
+    "fig13",
+    "fig14",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "breakdown",
+    "ablations",
+];
 
 /// The compact summary format the golden file stores: one hash line
 /// per experiment plus every embedded trace-hash line verbatim.
 fn summarize_outputs() -> String {
     let mut out = String::new();
-    for name in EXPERIMENTS {
+    for name in FLEET_FACING.into_iter().chain(PAPER) {
         let text = experiments::run(name).expect("registered experiment");
         out.push_str(&format!(
             "{name} lines={} fnv1a={:016x}\n",
@@ -42,7 +69,7 @@ fn summarize_outputs() -> String {
 
 #[test]
 fn repro_runs_twice_byte_identical() {
-    for name in EXPERIMENTS {
+    for name in FLEET_FACING {
         let a = experiments::run(name).expect("registered experiment");
         let b = experiments::run(name).expect("registered experiment");
         assert_eq!(a, b, "`repro {name}` diverged between two runs");
