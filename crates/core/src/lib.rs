@@ -48,6 +48,6 @@ pub mod workloads;
 pub use costdb::CostModel;
 pub use memory::MemoryConfig;
 pub use profile::PolyProfile;
-pub use sumcheck_unit::{simulate_sumcheck, SumcheckReport, SumcheckUnitConfig};
+pub use sumcheck_unit::{simulate_sumcheck, SumcheckPlan, SumcheckReport, SumcheckUnitConfig};
 pub use system::{AreaBreakdown, PowerBreakdown, ZkphireConfig};
 pub use tech::PrimeMode;

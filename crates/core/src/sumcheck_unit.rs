@@ -115,7 +115,210 @@ impl SumcheckReport {
     }
 }
 
-/// Simulates one SumCheck of `profile` over `2^mu` entries.
+/// Per-pair cost of one round flavour, read off a compiled [`Schedule`].
+#[derive(Clone, Copy, Debug)]
+struct RoundCost {
+    /// Product-lane cycles per MLE pair on one PE.
+    cycles_per_pair: f64,
+    /// Useful product-lane multiplications per MLE pair.
+    muls_per_pair: f64,
+}
+
+impl RoundCost {
+    fn new(sched: &Schedule, lanes: usize) -> Self {
+        Self {
+            cycles_per_pair: sched.cycles_per_pair(lanes) as f64,
+            muls_per_pair: sched.muls_per_pair() as f64,
+        }
+    }
+}
+
+/// Everything about one SumCheck that depends only on the polynomial and
+/// the `(ees, pls, sparse_io)` knobs: the round-1 schedule (with `f_r`
+/// fused out) and the later-round schedule reduced to their per-pair
+/// costs, and the per-slot bytes streamed in round 1 and round 2.
+///
+/// A design-space sweep builds one plan per `(profile, ees, pls)` and
+/// [`simulates`](Self::simulate) it across PEs, bank sizes, bandwidths
+/// and problem sizes; [`simulate_sumcheck`] is a plan built for a single
+/// call.
+#[derive(Clone, Debug)]
+pub struct SumcheckPlan {
+    ees: usize,
+    pls: usize,
+    sparse_io: bool,
+    has_eq: bool,
+    /// Extension points per pair, `degree + 1`.
+    k: usize,
+    /// Round-1 cost, on the lanes left after `f_r` reserves its own.
+    r1: RoundCost,
+    /// Cost of every later round.
+    rest: RoundCost,
+    /// Off-chip bytes per entry of each unique slot in round 1.
+    round1_bytes: Vec<f64>,
+    /// The same in round 2, which re-reads the original tables (the
+    /// update is pipelined in) but reads a spilled `f_r` back dense.
+    round2_bytes: Vec<f64>,
+}
+
+impl SumcheckPlan {
+    /// Compiles `profile` for a unit of `ees` Extension Engines and `pls`
+    /// Product Lanes per PE, streaming sparsity-compressed tables when
+    /// `sparse_io` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on degenerate configurations (`ees < 2`, `pls < 1`).
+    pub fn new(profile: &PolyProfile, ees: usize, pls: usize, sparse_io: bool) -> Self {
+        assert!(ees >= 2 && pls >= 1, "degenerate config");
+        let has_eq = profile.eq_slot.is_some();
+        // Round 1 fuses the f_r build out (one EE + one PL reserved).
+        let (r1_ees, r1_pls) = if has_eq {
+            ((ees - 1).max(2), (pls - 1).max(1))
+        } else {
+            (ees, pls)
+        };
+        let round1_entry = |slot: usize| {
+            if sparse_io {
+                profile.round1_bytes_per_entry(slot)
+            } else if Some(slot) == profile.eq_slot {
+                0.0 // f_r is still built on-chip (§III-F)
+            } else {
+                ELEMENT_BYTES
+            }
+        };
+        let unique = profile.unique_slots();
+        Self {
+            ees,
+            pls,
+            sparse_io,
+            has_eq,
+            k: profile.degree() + 1,
+            r1: RoundCost::new(&schedule(profile, r1_ees, has_eq), r1_pls),
+            rest: RoundCost::new(&schedule(profile, ees, false), pls),
+            round1_bytes: unique.iter().map(|&slot| round1_entry(slot)).collect(),
+            round2_bytes: unique
+                .iter()
+                .map(|&slot| {
+                    if Some(slot) == profile.eq_slot {
+                        ELEMENT_BYTES
+                    } else {
+                        round1_entry(slot)
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// Simulates the SumCheck over `2^mu` entries on `cfg` behind `mem`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` disagrees with the plan's `(ees, pls, sparse_io)`,
+    /// if `cfg.pes < 1` or if `mu < 1`.
+    pub fn simulate(
+        &self,
+        mu: usize,
+        cfg: &SumcheckUnitConfig,
+        mem: &MemoryConfig,
+    ) -> SumcheckReport {
+        assert_eq!(
+            (cfg.ees, cfg.pls, cfg.sparse_io),
+            (self.ees, self.pls, self.sparse_io),
+            "config does not match the plan"
+        );
+        assert!(cfg.pes >= 1, "degenerate config");
+        assert!(mu >= 1);
+        let n_unique = self.round1_bytes.len();
+        // Bytes to stream `in_size` entries of every unique slot.
+        let stream = |in_size: f64, per_entry: &[f64]| {
+            per_entry.iter().fold(0f64, |read, b| read + in_size * b)
+        };
+
+        let mut round_cycles = Vec::with_capacity(mu);
+        let mut total_bytes = 0f64;
+        let mut useful_muls = 0f64;
+        let mut mem_bound_cycles = 0f64;
+        // Whether the (updated) tables already live in the scratchpads.
+        let mut on_chip = false;
+
+        for round in 1..=mu {
+            let in_size = if round == 1 {
+                (1u64 << mu) as f64
+            } else {
+                (1u64 << (mu - round + 2)) as f64
+            };
+            let out_size = in_size / 2.0;
+            let pairs = (1u64 << (mu - round)) as f64;
+
+            // --- Compute ---
+            let cost = if round == 1 { &self.r1 } else { &self.rest };
+            let compute = pairs * cost.cycles_per_pair / cfg.pes as f64;
+
+            // --- Memory ---
+            let mut read = 0f64;
+            let mut write = 0f64;
+            if round == 1 {
+                read = stream(in_size, &self.round1_bytes);
+                if self.has_eq {
+                    // Built f_r is spilled for round 2 (§III-F: later rounds
+                    // treat it as any other MLE fetched from off-chip).
+                    write += in_size * ELEMENT_BYTES;
+                }
+            } else if !on_chip {
+                read = if round == 2 {
+                    stream(in_size, &self.round2_bytes)
+                } else {
+                    (0..n_unique).fold(0f64, |read, _| read + in_size * ELEMENT_BYTES)
+                };
+                let out_fits = n_unique as f64 * out_size <= cfg.scratch_words() as f64;
+                if out_fits {
+                    on_chip = true; // updated tables stay in the banks
+                } else {
+                    write += n_unique as f64 * out_size * ELEMENT_BYTES;
+                }
+            }
+            let mem_cycles = mem.cycles_for_bytes(read + write);
+            total_bytes += read + write;
+
+            // --- Overheads ---
+            let tiles = (in_size / cfg.bank_words as f64).ceil();
+            let overhead = tiles * TILE_OVERHEAD_CYCLES + ROUND_DRAIN_CYCLES;
+
+            let body = compute.max(mem_cycles);
+            if mem_cycles > compute {
+                mem_bound_cycles += body;
+            }
+            round_cycles.push(body + overhead);
+
+            // --- Useful multiplier work (for utilization) ---
+            useful_muls += pairs * cost.muls_per_pair;
+            if round == 1 && self.has_eq {
+                // Reserved lane multiplies f_r into each term's product.
+                useful_muls += pairs * self.k as f64;
+                // Build-MLE: one multiplication per generated entry.
+                useful_muls += in_size;
+            }
+            if round >= 2 {
+                // MLE Update: one multiplication per updated entry.
+                useful_muls += n_unique as f64 * out_size;
+            }
+        }
+
+        let total_cycles: f64 = round_cycles.iter().sum();
+        let capacity = cfg.total_muls() as f64 * total_cycles;
+        SumcheckReport {
+            total_cycles,
+            round_cycles,
+            mem_bytes: total_bytes,
+            memory_bound_fraction: mem_bound_cycles / total_cycles,
+            utilization: (useful_muls / capacity).min(1.0),
+        }
+    }
+}
+
+/// Simulates one SumCheck of `profile` over `2^mu` entries: a
+/// [`SumcheckPlan`] compiled for `cfg` and simulated once.
 ///
 /// # Panics
 ///
@@ -126,134 +329,7 @@ pub fn simulate_sumcheck(
     cfg: &SumcheckUnitConfig,
     mem: &MemoryConfig,
 ) -> SumcheckReport {
-    assert!(
-        cfg.ees >= 2 && cfg.pls >= 1 && cfg.pes >= 1,
-        "degenerate config"
-    );
-    assert!(mu >= 1);
-    let has_eq = profile.eq_slot.is_some();
-    let unique = profile.unique_slots();
-    let n_unique = unique.len();
-    let k = profile.degree() + 1;
-
-    // Round-1 schedule with f_r fused out (one EE + one PL reserved).
-    let r1_ees = if has_eq {
-        (cfg.ees - 1).max(2)
-    } else {
-        cfg.ees
-    };
-    let r1_pls = if has_eq {
-        (cfg.pls - 1).max(1)
-    } else {
-        cfg.pls
-    };
-    let sched_r1: Schedule = schedule(profile, r1_ees, has_eq);
-    let sched_rest: Schedule = schedule(profile, cfg.ees, false);
-
-    let mut round_cycles = Vec::with_capacity(mu);
-    let mut total_bytes = 0f64;
-    let mut useful_muls = 0f64;
-    let mut mem_bound_cycles = 0f64;
-    // Whether the (updated) tables already live in the scratchpads.
-    let mut on_chip = false;
-
-    for round in 1..=mu {
-        let in_size = if round == 1 {
-            (1u64 << mu) as f64
-        } else {
-            (1u64 << (mu - round + 2)) as f64
-        };
-        let out_size = in_size / 2.0;
-        let pairs = (1u64 << (mu - round)) as f64;
-
-        // --- Compute ---
-        let (sched, lanes) = if round == 1 {
-            (&sched_r1, r1_pls)
-        } else {
-            (&sched_rest, cfg.pls)
-        };
-        let cycles_per_pair = sched.cycles_per_pair(lanes) as f64;
-        let compute = pairs * cycles_per_pair / cfg.pes as f64;
-
-        // --- Memory ---
-        let mut read = 0f64;
-        let mut write = 0f64;
-        let entry_bytes = |slot: usize| {
-            if cfg.sparse_io {
-                profile.round1_bytes_per_entry(slot)
-            } else if Some(slot) == profile.eq_slot {
-                0.0 // f_r is still built on-chip (§III-F)
-            } else {
-                ELEMENT_BYTES
-            }
-        };
-        if round == 1 {
-            for &slot in &unique {
-                read += in_size * entry_bytes(slot);
-            }
-            if has_eq {
-                // Built f_r is spilled for round 2 (§III-F: later rounds
-                // treat it as any other MLE fetched from off-chip).
-                write += in_size * ELEMENT_BYTES;
-            }
-        } else if !on_chip {
-            for &slot in &unique {
-                let per_entry = if round == 2 {
-                    // Round 2 re-reads the original tables (update is
-                    // pipelined in); f_r reads back dense.
-                    if Some(slot) == profile.eq_slot {
-                        ELEMENT_BYTES
-                    } else {
-                        entry_bytes(slot)
-                    }
-                } else {
-                    ELEMENT_BYTES
-                };
-                read += in_size * per_entry;
-            }
-            let out_fits = n_unique as f64 * out_size <= cfg.scratch_words() as f64;
-            if out_fits {
-                on_chip = true; // updated tables stay in the banks
-            } else {
-                write += n_unique as f64 * out_size * ELEMENT_BYTES;
-            }
-        }
-        let mem_cycles = mem.cycles_for_bytes(read + write);
-        total_bytes += read + write;
-
-        // --- Overheads ---
-        let tiles = (in_size / cfg.bank_words as f64).ceil();
-        let overhead = tiles * TILE_OVERHEAD_CYCLES + ROUND_DRAIN_CYCLES;
-
-        let body = compute.max(mem_cycles);
-        if mem_cycles > compute {
-            mem_bound_cycles += body;
-        }
-        round_cycles.push(body + overhead);
-
-        // --- Useful multiplier work (for utilization) ---
-        useful_muls += pairs * sched.muls_per_pair() as f64;
-        if round == 1 && has_eq {
-            // Reserved lane multiplies f_r into each term's product.
-            useful_muls += pairs * k as f64;
-            // Build-MLE: one multiplication per generated entry.
-            useful_muls += in_size;
-        }
-        if round >= 2 {
-            // MLE Update: one multiplication per updated entry.
-            useful_muls += n_unique as f64 * out_size;
-        }
-    }
-
-    let total_cycles: f64 = round_cycles.iter().sum();
-    let capacity = cfg.total_muls() as f64 * total_cycles;
-    SumcheckReport {
-        total_cycles,
-        round_cycles,
-        mem_bytes: total_bytes,
-        memory_bound_fraction: mem_bound_cycles / total_cycles,
-        utilization: (useful_muls / capacity).min(1.0),
-    }
+    SumcheckPlan::new(profile, cfg.ees, cfg.pls, cfg.sparse_io).simulate(mu, cfg, mem)
 }
 
 #[cfg(test)]
@@ -365,6 +441,65 @@ mod tests {
             "{}",
             r.utilization
         );
+    }
+
+    /// Every field of a report as bits, so two reports compare exactly.
+    fn report_bits(r: &SumcheckReport) -> (u64, Vec<u64>, u64, u64, u64) {
+        (
+            r.total_cycles.to_bits(),
+            r.round_cycles.iter().map(|c| c.to_bits()).collect(),
+            r.mem_bytes.to_bits(),
+            r.memory_bound_fraction.to_bits(),
+            r.utilization.to_bits(),
+        )
+    }
+
+    #[test]
+    fn one_plan_reused_across_calls_matches_a_fresh_plan_per_call() {
+        // The bank sizes run large to small, so a plan that carried the
+        // on-chip state of one call into the next would stop traffic early.
+        let profiles = [
+            vanilla(),
+            PolyProfile::from_gate(&table1_gate(22)),
+            PolyProfile::from_gate(&high_degree_gate(16)),
+        ];
+        let mu = 16;
+        for profile in &profiles {
+            for (ees, pls) in [(2, 3), (4, 5), (7, 8)] {
+                for sparse_io in [true, false] {
+                    let plan = SumcheckPlan::new(profile, ees, pls, sparse_io);
+                    for pes in [1, 4, 32] {
+                        for bank_words in [1 << 15, 1 << 12, 1 << 10] {
+                            for bw in MemoryConfig::sweep_tiers() {
+                                let cfg = SumcheckUnitConfig {
+                                    pes,
+                                    ees,
+                                    pls,
+                                    bank_words,
+                                    sparse_io,
+                                };
+                                let mem = MemoryConfig::new(bw);
+                                let fresh = SumcheckPlan::new(profile, ees, pls, sparse_io);
+                                assert_eq!(
+                                    report_bits(&plan.simulate(mu, &cfg, &mem)),
+                                    report_bits(&fresh.simulate(mu, &cfg, &mem)),
+                                    "{} {cfg:?} at {bw} GB/s",
+                                    profile.name
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "config does not match the plan")]
+    fn plan_rejects_a_config_it_was_not_compiled_for() {
+        let plan = SumcheckPlan::new(&vanilla(), 7, 5, true);
+        let other = SumcheckUnitConfig { ees: 6, ..cfg() };
+        plan.simulate(16, &other, &MemoryConfig::new(1024.0));
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! area-constrained space for each polynomial) and arithmetic-mean
 //! utilization, evaluated over a polynomial training set.
 
+use std::collections::HashMap;
+
 use zkphire_core::memory::MemoryConfig;
 use zkphire_core::profile::PolyProfile;
-use zkphire_core::sumcheck_unit::{simulate_sumcheck, SumcheckUnitConfig};
+use zkphire_core::sumcheck_unit::{SumcheckPlan, SumcheckUnitConfig};
 use zkphire_core::tech::PrimeMode;
 
 /// Score card for one candidate design.
@@ -85,14 +87,23 @@ pub fn select_design(
         return None;
     }
 
-    // Evaluate every candidate on every polynomial.
+    // Evaluate every candidate on every polynomial, compiling each
+    // polynomial once per `(ees, pls)` and reusing the plans across PEs
+    // and bank sizes.
+    let mut plans: HashMap<(usize, usize), Vec<SumcheckPlan>> = HashMap::new();
     let mut runtimes: Vec<Vec<f64>> = Vec::with_capacity(candidates.len());
     let mut utils: Vec<Vec<f64>> = Vec::with_capacity(candidates.len());
     for cfg in &candidates {
+        let plans = plans.entry((cfg.ees, cfg.pls)).or_insert_with(|| {
+            training
+                .iter()
+                .map(|p| SumcheckPlan::new(p, cfg.ees, cfg.pls, cfg.sparse_io))
+                .collect()
+        });
         let mut rs = Vec::with_capacity(training.len());
         let mut us = Vec::with_capacity(training.len());
-        for p in training {
-            let r = simulate_sumcheck(p, mu, cfg, &mem);
+        for plan in plans.iter() {
+            let r = plan.simulate(mu, cfg, &mem);
             rs.push(r.ms());
             us.push(r.utilization);
         }

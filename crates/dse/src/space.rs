@@ -1,10 +1,25 @@
 //! The Table III full-system design space and the Fig. 10 Pareto sweep.
 //!
-//! The raw cross-product is ~4 million configurations; step runtimes are
-//! memoized per knob subset (SumCheck step times depend only on the
-//! SumCheck knobs and bandwidth, MSM times only on the MSM knobs, etc.),
-//! so the sweep reduces to cheap compositions — the same decomposition
-//! the paper's own DSE must rely on to be tractable.
+//! The raw cross-product is ~4 million configurations, and no point is
+//! simulated on its own: a step's time depends only on a subset of the
+//! knobs, so [`full_system_dse`] simulates each subset once and every
+//! point's runtime is a sum of those memoized step times — the same
+//! decomposition the paper's own DSE must rely on to be tractable.
+//!
+//! * **SumCheck** — one [`SumcheckPlan`] per `(profile, EEs, PLs)` is
+//!   compiled before the bandwidth loop. Per bandwidth tier, each
+//!   SumCheck knob tuple `(PEs, EEs, PLs, bank words)` simulates its three
+//!   plans (ZeroCheck, PermCheck, OpenCheck) once, beside the Forest's
+//!   batch-evaluation and tree-product times (the Forest is derived from
+//!   the SumCheck unit).
+//! * **MSM** — per tier, one dense and one sparse MSM per `(PEs, window)`;
+//!   points per PE change only the area.
+//! * **PermQuotGen** — per tier, one simulation per FracMLE PE count; the
+//!   MLE Combine once per tier.
+//!
+//! The one per-point model call is the die area. Each point is kept as
+//! its runtime, area and linear index into the cross-product; only the
+//! points that reach a front are rebuilt into a [`ZkphireConfig`].
 
 use zkphire_core::forest::ForestConfig;
 use zkphire_core::memory::MemoryConfig;
@@ -12,7 +27,7 @@ use zkphire_core::mle_combine::MleCombineConfig;
 use zkphire_core::msm_unit::{simulate_msm, MsmUnitConfig, ScalarProfile};
 use zkphire_core::permquot::{simulate_permquot, PermQuotConfig};
 use zkphire_core::protocol::Gate;
-use zkphire_core::sumcheck_unit::{simulate_sumcheck, SumcheckUnitConfig};
+use zkphire_core::sumcheck_unit::{SumcheckPlan, SumcheckUnitConfig};
 use zkphire_core::system::ZkphireConfig;
 use zkphire_core::tech::{PrimeMode, MULS_PER_TREE};
 
@@ -120,6 +135,25 @@ fn forest_for(sc: &SumcheckUnitConfig) -> ForestConfig {
     }
 }
 
+/// Memoized SumCheck-side step times of one SumCheck knob tuple.
+struct ScEntry {
+    cfg: SumcheckUnitConfig,
+    zc_ms: f64,
+    pc_ms: f64,
+    oc_ms: f64,
+    forest: ForestConfig,
+    batch_ms: f64,
+    pi_build_ms: f64,
+}
+
+/// Memoized MSM step times of one `(PEs, window)` tuple.
+struct MsmEntry {
+    pes: usize,
+    window_bits: usize,
+    dense_ms: f64,
+    sparse_ms: f64,
+}
+
 /// Runs the full-system DSE for a `2^mu`-gate workload.
 pub fn full_system_dse(
     space: &DseSpace,
@@ -129,35 +163,48 @@ pub fn full_system_dse(
     prime: PrimeMode,
 ) -> FullSystemDse {
     let n = 1u64 << mu;
-    let zc_profile = gate.zerocheck_profile();
-    let pc_profile = gate.permcheck_profile();
-    let oc_profile = gate.opencheck_profile();
+    let profiles = [
+        gate.zerocheck_profile(),
+        gate.permcheck_profile(),
+        gate.opencheck_profile(),
+    ];
     let claims = gate.batch_eval_claims();
     let distinct = gate.distinct_polys();
     let w = gate.witness_columns();
     let combine_cfg = MleCombineConfig::default();
 
+    // SumCheck plans, indexed `ees_index * pls.len() + pls_index`: they
+    // depend on neither PEs, bank words nor bandwidth.
+    let plans: Vec<[SumcheckPlan; 3]> = space
+        .ees
+        .iter()
+        .flat_map(|&ees| {
+            let profiles = &profiles;
+            space.pls.iter().map(move |&pls| {
+                profiles
+                    .each_ref()
+                    .map(|p| SumcheckPlan::new(p, ees, pls, true))
+            })
+        })
+        .collect();
+
+    let (n_msm, n_ppp, n_frac) = (
+        space.msm_pes.len() * space.windows.len(),
+        space.points_per_pe.len(),
+        space.frac_pes.len(),
+    );
     let mut evaluated = 0usize;
     let mut tier_fronts = Vec::with_capacity(space.bandwidths.len());
-    let mut front_configs: Vec<Vec<FullSystemPoint>> = Vec::new();
 
     for &bw in &space.bandwidths {
         let mem = MemoryConfig::new(bw);
 
-        // --- Memoized SumCheck-side step times per SumCheck knob tuple ---
-        struct ScEntry {
-            cfg: SumcheckUnitConfig,
-            zc_ms: f64,
-            pc_ms: f64,
-            oc_ms: f64,
-            forest: ForestConfig,
-            batch_ms: f64,
-            pi_build_ms: f64,
-        }
-        let mut sc_entries = Vec::new();
+        // --- SumCheck-side step times per SumCheck knob tuple ---
+        let mut sc_entries = Vec::with_capacity(plans.len() * space.sumcheck_pes.len());
         for &pes in &space.sumcheck_pes {
-            for &ees in &space.ees {
-                for &pls in &space.pls {
+            for (ei, &ees) in space.ees.iter().enumerate() {
+                for (pi, &pls) in space.pls.iter().enumerate() {
+                    let [zc, pc, oc] = &plans[ei * space.pls.len() + pi];
                     for &bank_words in &space.bank_words {
                         let cfg = SumcheckUnitConfig {
                             pes,
@@ -169,9 +216,9 @@ pub fn full_system_dse(
                         let forest = forest_for(&cfg);
                         sc_entries.push(ScEntry {
                             cfg,
-                            zc_ms: simulate_sumcheck(&zc_profile, mu, &cfg, &mem).ms(),
-                            pc_ms: simulate_sumcheck(&pc_profile, mu, &cfg, &mem).ms(),
-                            oc_ms: simulate_sumcheck(&oc_profile, mu, &cfg, &mem).ms(),
+                            zc_ms: zc.simulate(mu, &cfg, &mem).ms(),
+                            pc_ms: pc.simulate(mu, &cfg, &mem).ms(),
+                            oc_ms: oc.simulate(mu, &cfg, &mem).ms(),
                             forest,
                             batch_ms: forest.batch_eval_cycles(claims, n, &mem) / 1e6,
                             pi_build_ms: forest.tree_product_cycles(n, &mem) / 1e6,
@@ -181,14 +228,8 @@ pub fn full_system_dse(
             }
         }
 
-        // --- Memoized MSM step times per MSM knob tuple ---
-        struct MsmEntry {
-            pes: usize,
-            window_bits: usize,
-            dense_ms: f64,
-            sparse_ms: f64,
-        }
-        let mut msm_entries = Vec::new();
+        // --- MSM step times per MSM knob tuple ---
+        let mut msm_entries = Vec::with_capacity(n_msm);
         for &pes in &space.msm_pes {
             for &window_bits in &space.windows {
                 let cfg = MsmUnitConfig {
@@ -206,7 +247,7 @@ pub fn full_system_dse(
             }
         }
 
-        // --- Memoized PermQuotGen times ---
+        // --- PermQuotGen times ---
         let pq_entries: Vec<(usize, f64)> = space
             .frac_pes
             .iter()
@@ -221,14 +262,30 @@ pub fn full_system_dse(
 
         let combine_ms = combine_cfg.combine_cycles(distinct, n, &mem) / 1e6;
 
-        // --- Cross-product assembly ---
-        let mut tier_points: Vec<ParetoPoint> = Vec::new();
-        let mut tier_configs: Vec<ZkphireConfig> = Vec::new();
+        let config = |sc: &ScEntry, msm: &MsmEntry, ppp: usize, frac: usize| ZkphireConfig {
+            sumcheck: sc.cfg,
+            msm: MsmUnitConfig {
+                pes: msm.pes,
+                window_bits: msm.window_bits,
+                points_per_pe: ppp,
+            },
+            forest: sc.forest,
+            permquot: PermQuotConfig {
+                pes: frac,
+                inverse_units: PermQuotConfig::PAPER_INVERSE_UNITS,
+            },
+            combine: combine_cfg,
+            mem,
+            prime,
+        };
+
+        // --- Cross-product assembly: each point by its linear index ---
+        let mut tier_points: Vec<ParetoPoint> =
+            Vec::with_capacity(sc_entries.len() * n_msm * n_ppp * n_frac);
         for sc in &sc_entries {
             for msm in &msm_entries {
                 for &ppp in &space.points_per_pe {
                     for &(frac, pq_ms) in &pq_entries {
-                        evaluated += 1;
                         let witness_ms = w as f64 * msm.sparse_ms;
                         let wiring_ms = 3.0 * msm.dense_ms;
                         let open_ms = 2.0 * msm.dense_ms;
@@ -239,50 +296,35 @@ pub fn full_system_dse(
                         } else {
                             witness_ms + sc.zc_ms + permquot_ms + wiring_ms + tail
                         };
-                        let config = ZkphireConfig {
-                            sumcheck: sc.cfg,
-                            msm: MsmUnitConfig {
-                                pes: msm.pes,
-                                window_bits: msm.window_bits,
-                                points_per_pe: ppp,
-                            },
-                            forest: sc.forest,
-                            permquot: PermQuotConfig {
-                                pes: frac,
-                                inverse_units: PermQuotConfig::PAPER_INVERSE_UNITS,
-                            },
-                            combine: combine_cfg,
-                            mem,
-                            prime,
-                        };
-                        let area_mm2 = config.area().total();
                         tier_points.push(ParetoPoint {
                             runtime_ms,
-                            area_mm2,
+                            area_mm2: config(sc, msm, ppp, frac).area().total(),
                             bandwidth_gbps: bw,
-                            config_index: tier_configs.len(),
+                            config_index: tier_points.len(),
                         });
-                        tier_configs.push(config);
                     }
                 }
             }
         }
+        evaluated += tier_points.len();
 
-        let front = pareto_front(tier_points);
-        let materialized: Vec<FullSystemPoint> = front
-            .iter()
-            .map(|p| FullSystemPoint {
-                config: tier_configs[p.config_index],
+        // Only front points get their configuration back.
+        let front = pareto_front(tier_points).into_iter().map(|p| {
+            let i = p.config_index;
+            let (frac, i) = (pq_entries[i % n_frac].0, i / n_frac);
+            let (ppp, i) = (space.points_per_pe[i % n_ppp], i / n_ppp);
+            let (msm, sc) = (&msm_entries[i % n_msm], &sc_entries[i / n_msm]);
+            FullSystemPoint {
+                config: config(sc, msm, ppp, frac),
                 runtime_ms: p.runtime_ms,
                 area_mm2: p.area_mm2,
-            })
-            .collect();
-        tier_fronts.push(front);
-        front_configs.push(materialized);
+            }
+        });
+        tier_fronts.push(front.collect::<Vec<_>>());
     }
 
     // Global frontier across tiers.
-    let mut all: Vec<FullSystemPoint> = front_configs.iter().flatten().copied().collect();
+    let mut all: Vec<FullSystemPoint> = tier_fronts.iter().flatten().copied().collect();
     all.sort_by(|a, b| a.runtime_ms.partial_cmp(&b.runtime_ms).expect("finite"));
     let mut global_front = Vec::new();
     let mut best_area = f64::INFINITY;
@@ -294,7 +336,7 @@ pub fn full_system_dse(
     }
 
     FullSystemDse {
-        tier_fronts: front_configs,
+        tier_fronts,
         global_front,
         evaluated,
     }

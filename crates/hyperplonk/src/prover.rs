@@ -170,6 +170,9 @@ pub fn prove_with_config(
         threads,
     );
     let x_zc = gate_out.challenges.clone();
+    // Every SumCheck's finals are bound before the next challenge, so
+    // none can be chosen after β, γ, α or η.
+    transcript.append_frs(b"hyperplonk/gate_finals", &gate_out.proof.final_mle_evals);
     drop(gate_span);
 
     // Step 3 — Wire Identity.
@@ -198,6 +201,7 @@ pub fn prove_with_config(
         threads,
     );
     let x_pc = perm_out.challenges.clone();
+    transcript.append_frs(b"hyperplonk/perm_finals", &perm_out.proof.final_mle_evals);
     drop(perm_span);
 
     // Step 4 — Batch Evaluations. Claims already bound inside the two
@@ -233,7 +237,11 @@ pub fn prove_with_config(
         let etas = transcript.challenge_frs(b"hyperplonk/opencheck/eta", layout.len());
         let root = index_point(root_index(n), mu);
         let points = [&x_zc[..], &x_pc[..], &root[..]];
-        prove_opencheck(system, &committed, points, &etas, transcript, threads)
+        let out = prove_opencheck(system, &committed, points, &etas, transcript, threads);
+        // Bound as shipped: after `prove_opencheck` has replaced the
+        // per-point finals with the per-claim ones.
+        transcript.append_frs(b"hyperplonk/opencheck_finals", &out.proof.final_mle_evals);
+        out
     };
 
     // MLE Combine: g = Σ ζ_i poly_i, opened once.
@@ -349,7 +357,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use zkphire_sumcheck::prove_borrowed;
+    use zkphire_sumcheck::{prove_borrowed, BarycentricWeights, SumCheckError, SumCheckProof};
+
+    use crate::circuit::Circuit;
+    use crate::keys::setup;
+    use crate::verifier::{verify, HyperPlonkError};
 
     /// The OpenCheck as the verifier states it: one term per claim under
     /// [`opencheck_composite`], every committed table bound in place beside
@@ -423,6 +435,235 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A ZeroCheck that claims zero for a composite whose hypercube sum is
+    /// not: each honest round polynomial (the composite evaluated by
+    /// definition over tables folded at the transcript's challenges) is
+    /// shifted by the constant that makes it sum to the running claim.
+    /// Every round check passes; the last claim is off from the composite
+    /// at the finals, and that claim is returned beside the output.
+    ///
+    /// `tables` binds every slot but `eq_slot`, as in
+    /// `prove_zero_check_borrowed`, whose transcript this one follows.
+    fn shifted_zero_check(
+        gate: &CompositePoly,
+        eq_slot: MleId,
+        mut tables: Vec<Mle>,
+        transcript: &mut Transcript,
+    ) -> (ProverOutput, Fr) {
+        let mu = tables[0].num_vars();
+        let r = transcript.challenge_frs(b"zerocheck/r", mu);
+        tables.insert(eq_slot.0, Mle::eq_table(&r));
+        let degree = gate.degree();
+        let weights = BarycentricWeights::new(degree);
+        let half = Fr::from_u64(2).inverse().expect("2 is invertible");
+        transcript.append_u64(b"sumcheck/num_vars", mu as u64);
+        transcript.append_u64(b"sumcheck/degree", degree as u64);
+        let (mut claim, mut round_evals, mut challenges) = (Fr::ZERO, Vec::new(), Vec::new());
+        for round in 0..mu {
+            let pairs = tables[0].len() / 2;
+            let mut evals: Vec<Fr> = (0..=degree as u64)
+                .map(|t| {
+                    let t = Fr::from_u64(t);
+                    let at_pair = |j: usize| {
+                        let values: Vec<Fr> = tables
+                            .iter()
+                            .map(|m| {
+                                m.evals()[2 * j] + t * (m.evals()[2 * j + 1] - m.evals()[2 * j])
+                            })
+                            .collect();
+                        gate.evaluate_with_mle_values(&values)
+                    };
+                    (0..pairs).map(at_pair).sum()
+                })
+                .collect();
+            let shift = (claim - evals[0] - evals[1]) * half;
+            evals.iter_mut().for_each(|e| *e += shift);
+            if round == 0 {
+                transcript.append_fr(b"sumcheck/claim", &claim);
+            }
+            transcript.append_frs(b"sumcheck/round", &evals);
+            let x = transcript.challenge_fr(b"sumcheck/challenge");
+            claim = weights.interpolate(&evals, x);
+            tables = tables.iter().map(|m| m.fix_first_variable(x)).collect();
+            round_evals.push(evals);
+            challenges.push(x);
+        }
+        let proof = SumCheckProof {
+            claimed_sum: Fr::ZERO,
+            round_evals,
+            final_mle_evals: tables.iter().map(|m| m.evals()[0]).collect(),
+        };
+        (ProverOutput { proof, challenges }, claim)
+    }
+
+    /// The η-shift forger: [`prove_with_config`] on one thread, step for
+    /// step and bind for bind, except that the gate ZeroCheck is
+    /// [`shifted_zero_check`] and, once η is drawn, the gate finals of
+    /// slots 0 and 1 move by `δ_0`, `δ_1` with `c_0 δ_0 + c_1 δ_1 = Δ`, so
+    /// the composite meets the forged claim (`c_i` is the composite's
+    /// slope in slot `i`), and `η_0 δ_0 + η_1 δ_1 = 0`, so the
+    /// OpenCheck's `Σ η_j y_j` does not move. Binding the gate finals
+    /// before β is what defeats it: the ones it absorbs are not the ones
+    /// it ships.
+    fn forge(pk: &ProvingKey, witness: &Witness, transcript: &mut Transcript) -> HyperPlonkProof {
+        let system = pk.circuit.system;
+        let mu = pk.circuit.num_vars;
+        bind_statement(
+            transcript,
+            system,
+            mu,
+            &pk.selector_commitments,
+            &pk.sigma_commitments,
+        );
+        let witness_commitments: Vec<Commitment> = witness
+            .columns
+            .iter()
+            .map(|c| pk.pcs.commit_with_threads(c, 1))
+            .collect();
+        for c in &witness_commitments {
+            transcript.append_bytes(b"hyperplonk/witness", &c.to_bytes());
+        }
+
+        let gate = system.gate();
+        let columns = pk.circuit.selectors.iter().chain(&witness.columns);
+        let (mut gate_out, forged_claim) = shifted_zero_check(
+            &gate.poly,
+            system.gate_eq_slot(),
+            columns.cloned().collect(),
+            transcript,
+        );
+        transcript.append_frs(b"hyperplonk/gate_finals", &gate_out.proof.final_mle_evals);
+        let x_zc = gate_out.challenges.clone();
+
+        let beta = transcript.challenge_fr(b"hyperplonk/beta");
+        let gamma = transcript.challenge_fr(b"hyperplonk/gamma");
+        let fractions = Fractions::new(&witness.columns, &pk.circuit.sigma, beta, gamma);
+        let [phi, pi, p1, p2] = fractions.wiring();
+        let perm_commitments = [&phi, &pi, &p1, &p2].map(|t| pk.pcs.commit_with_threads(t, 1));
+        for c in &perm_commitments {
+            transcript.append_bytes(b"hyperplonk/perm", &c.to_bytes());
+        }
+        let alpha = transcript.challenge_fr(b"hyperplonk/alpha");
+        let perm_poly = system.perm_gate().poly.specialize(&[alpha]);
+        let (numerators, denominators) = fractions.tables();
+        let mut perm_tables: Vec<Cow<'_, Mle>> = [&pi, &p1, &p2, &phi].map(Cow::Borrowed).into();
+        perm_tables.extend(denominators.into_iter().map(Cow::Owned));
+        perm_tables.extend(numerators.into_iter().map(Cow::Owned));
+        let (perm_out, _) = prove_zero_check_borrowed(
+            &perm_poly,
+            system.perm_eq_slot(),
+            perm_tables,
+            transcript,
+            1,
+        );
+        let x_pc = perm_out.challenges.clone();
+        transcript.append_frs(b"hyperplonk/perm_finals", &perm_out.proof.final_mle_evals);
+
+        let mut extra_evals: Vec<Fr> = witness.columns.iter().map(|w| w.evaluate(&x_pc)).collect();
+        extra_evals.extend(pk.sigma_mles.iter().map(|sg| sg.evaluate(&x_pc)));
+        transcript.append_frs(b"hyperplonk/extra_evals", &extra_evals);
+
+        let layout = claim_layout(system);
+        let etas = transcript.challenge_frs(b"hyperplonk/opencheck/eta", layout.len());
+        // Slots 0 and 1 are selectors claimed at the gate point, as claims
+        // 0 and 1, and no term of either gate holds both.
+        let finals = &mut gate_out.proof.final_mle_evals;
+        let composite = |f: &[Fr]| gate.poly.evaluate_with_mle_values(f);
+        let at_finals = composite(finals);
+        let slope = |slot: usize| {
+            let mut f = finals.clone();
+            f[slot] += Fr::ONE;
+            composite(&f) - at_finals
+        };
+        let (c0, c1) = (slope(0), slope(1));
+        let det = (c0 * etas[1] - c1 * etas[0])
+            .inverse()
+            .expect("independent");
+        let d0 = (forged_claim - at_finals) * etas[1] * det;
+        let d1 = -(etas[0] * d0) * etas[1].inverse().expect("non-zero η");
+        finals[0] += d0;
+        finals[1] += d1;
+        assert_eq!(
+            composite(finals),
+            forged_claim,
+            "the finals meet the forged claim"
+        );
+
+        let committed: Vec<&Mle> = {
+            let columns = pk.circuit.selectors.iter().chain(&witness.columns);
+            let wiring = pk.sigma_mles.iter().chain([&phi, &pi, &p1, &p2]);
+            columns.chain(wiring).collect()
+        };
+        let root = index_point(root_index(1 << mu), mu);
+        let points = [&x_zc[..], &x_pc[..], &root[..]];
+        let oc_out = prove_opencheck(system, &committed, points, &etas, transcript, 1);
+        transcript.append_frs(
+            b"hyperplonk/opencheck_finals",
+            &oc_out.proof.final_mle_evals,
+        );
+
+        let zetas =
+            transcript.challenge_frs(b"hyperplonk/combine/zeta", num_distinct_polys(system));
+        let g = mle_combine(&committed, &zetas, mu, 1);
+        let (opening, opening_value) = pk.pcs.open_with_threads(&g, &oc_out.challenges, 1);
+        HyperPlonkProof {
+            witness_commitments,
+            gate_zerocheck: gate_out.proof,
+            perm_commitments,
+            perm_zerocheck: perm_out.proof,
+            extra_evals,
+            opencheck: oc_out.proof,
+            opening,
+            opening_value,
+        }
+    }
+
+    #[test]
+    fn eta_shift_forgery_of_an_unsatisfied_witness_is_rejected() {
+        for system in [GateSystem::Vanilla, GateSystem::Jellyfish] {
+            let mut rng = StdRng::seed_from_u64(0xe7a5);
+            let (circuit, mut witness) = Circuit::random(system, 5, 0.5, &mut rng);
+            // One output cell of an active row, copied nowhere, off by one:
+            // only the gate identity sees it.
+            let n = circuit.num_rows();
+            let out = system.num_witness_columns() - 1;
+            let row = (0..n)
+                .find(|&r| {
+                    let active = circuit.selectors.iter().any(|q| !q.evals()[r].is_zero());
+                    active && circuit.sigma[out * n + r] == out * n + r
+                })
+                .expect("an uncopied output cell of an active row");
+            let bumped = witness.columns[out].evals()[row] + Fr::ONE;
+            witness.columns[out].evals_mut()[row] = bumped;
+            let (pk, vk) = setup(circuit, &mut rng);
+
+            let honest = prove_with_config(
+                &pk,
+                &witness,
+                &mut Transcript::new(b"forge"),
+                ProverConfig { threads: 1 },
+            );
+            assert_eq!(
+                verify(&vk, &honest, &mut Transcript::new(b"forge")),
+                Err(HyperPlonkError::GateCheck(SumCheckError::NonZeroClaim)),
+                "{system:?}: the honest proof"
+            );
+
+            let forged = forge(&pk, &witness, &mut Transcript::new(b"forge"));
+            let decoded = HyperPlonkProof::from_bytes(&forged.to_bytes()).expect("decodes");
+            let result = verify(&vk, &decoded, &mut Transcript::new(b"forge"));
+            assert!(
+                matches!(
+                    result,
+                    Err(HyperPlonkError::PermCheck(
+                        SumCheckError::RoundSumMismatch { .. }
+                    ))
+                ),
+                "{system:?}: the forged proof: {result:?}"
+            );
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The HyperPlonk verifier.
 //!
 //! Mirrors the prover's transcript step for step, checks both ZeroChecks,
+//! binds each SumCheck's final evaluations before the next challenge,
 //! reconstructs the Numerator/Denominator claims from witness/σ openings
 //! and the closed-form identity MLE, replays the Batch-Evaluation claim
 //! list, checks the OpenCheck combination, and finally verifies the single
@@ -127,6 +128,7 @@ pub fn verify(
     )
     .map_err(HyperPlonkError::GateCheck)?;
     let x_zc = gate_verified.challenges.clone();
+    transcript.append_frs(b"hyperplonk/gate_finals", &gate_verified.mle_evals);
 
     // Step 3 — Wire Identity.
     let beta = transcript.challenge_fr(b"hyperplonk/beta");
@@ -145,6 +147,7 @@ pub fn verify(
     )
     .map_err(HyperPlonkError::PermCheck)?;
     let x_pc = perm_verified.challenges.clone();
+    transcript.append_frs(b"hyperplonk/perm_finals", &perm_verified.mle_evals);
 
     // Reconstruct N_i / D_i from the witness/σ claims and the closed-form
     // identity MLE; slots in the PermCheck composite: π p1 p2 ϕ D_1.. N_1..
@@ -176,6 +179,7 @@ pub fn verify(
     let oc_poly = opencheck_composite(system, &etas);
     let oc_verified = sumcheck_verify(&oc_poly, mu, &proof.opencheck, transcript)
         .map_err(HyperPlonkError::OpenCheck)?;
+    transcript.append_frs(b"hyperplonk/opencheck_finals", &oc_verified.mle_evals);
     if proof.opencheck.claimed_sum != expected_claim {
         return Err(HyperPlonkError::ClaimSumMismatch);
     }

@@ -101,6 +101,9 @@ pub fn prove_with_threads(
 /// Round 1 reads a borrowed table in place and never copies it whole; an
 /// owned one is freed once its half-size copy is written. Proofs and
 /// transcripts equal those of the owned entry points bit for bit.
+///
+/// The final MLE evaluations are left out of the transcript, as in
+/// [`verify`](crate::verify): the caller binds them once they are final.
 pub fn prove_borrowed(
     poly: &CompositePoly,
     mut tables: Vec<Cow<'_, Mle>>,

@@ -106,6 +106,13 @@ pub struct VerifiedSumCheck {
 
 /// Verifies a SumCheck proof against a composite polynomial.
 ///
+/// The transcript absorbs the claim and every round polynomial, but not
+/// the final MLE evaluations: they come back unbound in
+/// [`VerifiedSumCheck::mle_evals`]. A caller that draws another challenge
+/// before discharging them must first append them to the transcript (as
+/// the prover must at the same point), or a prover can choose them after
+/// that challenge and still meet the final check.
+///
 /// # Errors
 ///
 /// Returns a [`SumCheckError`] describing the first failed check.

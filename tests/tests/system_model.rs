@@ -131,3 +131,36 @@ fn higher_degree_gate_system_costs_more_sumcheck_share() {
     // absolute time in SumCheck than the degree-4 Vanilla one.
     assert!(jellyfish.sumcheck_ms() > vanilla.sumcheck_ms());
 }
+
+/// Every tier-front and global-front point of the quick space, as the
+/// bits of its runtime and area plus its `Debug` configuration, hashed
+/// per `(gate, masking)`. The values were generated by the sweep that
+/// sorted with a stable `(runtime, area)` comparator and simulated each
+/// SumCheck anew on every call, so any change in which points reach a
+/// front, their order or their figures shows here.
+#[test]
+fn quick_sweep_fronts_are_bit_identical_to_the_pinned_sweep() {
+    let mut got = Vec::new();
+    for gate in [Gate::Jellyfish, Gate::Vanilla] {
+        for masking in [true, false] {
+            let dse = full_system_dse(&DseSpace::quick(), gate, 20, masking, PrimeMode::Arbitrary);
+            let mut bytes = Vec::new();
+            for front in dse.tier_fronts.iter().chain([&dse.global_front]) {
+                bytes.extend_from_slice(&(front.len() as u64).to_le_bytes());
+                for p in front {
+                    bytes.extend_from_slice(&p.runtime_ms.to_bits().to_le_bytes());
+                    bytes.extend_from_slice(&p.area_mm2.to_bits().to_le_bytes());
+                    bytes.extend_from_slice(format!("{:?}", p.config).as_bytes());
+                }
+            }
+            got.push((gate, masking, zkphire_tests::fnv1a(&bytes)));
+        }
+    }
+    let want = [
+        (Gate::Jellyfish, true, 0xc0d4_ef79_5aa2_b01e),
+        (Gate::Jellyfish, false, 0x5f01_f7ea_dea7_4543),
+        (Gate::Vanilla, true, 0xc1ff_ae2e_ec1e_6415),
+        (Gate::Vanilla, false, 0xa678_d8c5_21c6_cfc7),
+    ];
+    assert_eq!(got, want);
+}
