@@ -81,7 +81,7 @@ pub struct FleetSizing {
 }
 
 /// Rolls up area/power for `chips` copies of `cfg`.
-pub fn fleet_cost(cfg: &ZkphireConfig, chips: usize) -> FleetCost {
+fn fleet_cost(cfg: &ZkphireConfig, chips: usize) -> FleetCost {
     let area = cfg.area().total();
     let power = cfg.power().total();
     FleetCost {
@@ -91,22 +91,10 @@ pub fn fleet_cost(cfg: &ZkphireConfig, chips: usize) -> FleetCost {
     }
 }
 
-/// Simulates `chips` chips of `cfg` under the SLO's traffic and reports
-/// the metrics (one point of the sizing sweep).
-pub fn evaluate_fleet(
-    cfg: &ZkphireConfig,
-    chips: usize,
-    mix: &WorkloadMix,
-    policy: PolicyKind,
-    slo: &FleetSlo,
-) -> FleetSummary {
-    let mut cost = CostModel::new(*cfg, true);
-    evaluate_fleet_with(&mut cost, chips, mix, policy, slo)
-}
-
-/// [`evaluate_fleet`] reusing a caller-owned (memoized) cost model, so
-/// sweeps over chip counts share one protocol-model cache.
-pub fn evaluate_fleet_with(
+/// Simulates `chips` chips under the SLO's traffic and reports the
+/// metrics (one point of the sizing sweep). The cost model is the
+/// caller's, so sweeps over chip counts share one protocol-model cache.
+fn evaluate_fleet_with(
     cost: &mut CostModel,
     chips: usize,
     mix: &WorkloadMix,
@@ -208,7 +196,7 @@ pub fn size_fleet(
 /// through `retry`, and latest-deadline work is shed once the pool drops
 /// below the `brown_out` threshold (pass `None` to forbid shedding).
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_fleet_under_outage_with(
+fn evaluate_fleet_under_outage_with(
     cost: &mut CostModel,
     chips: usize,
     k: usize,
@@ -305,6 +293,17 @@ mod tests {
 
     fn mix() -> WorkloadMix {
         WorkloadMix::single(RequestClass::new(Gate::Jellyfish, 18))
+    }
+
+    /// One point of the sizing sweep on a fresh cost model.
+    fn evaluate_fleet(
+        cfg: &ZkphireConfig,
+        chips: usize,
+        mix: &WorkloadMix,
+        policy: PolicyKind,
+        slo: &FleetSlo,
+    ) -> FleetSummary {
+        evaluate_fleet_with(&mut CostModel::new(*cfg, true), chips, mix, policy, slo)
     }
 
     #[test]

@@ -24,10 +24,7 @@ pub mod objective;
 pub mod pareto;
 pub mod space;
 
-pub use fleet_objective::{
-    evaluate_fleet, evaluate_fleet_under_outage_with, evaluate_fleet_with, fleet_cost, size_fleet,
-    size_fleet_n_minus_k, FleetCost, FleetSizing, FleetSlo,
-};
+pub use fleet_objective::{size_fleet, size_fleet_n_minus_k, FleetCost, FleetSizing, FleetSlo};
 pub use objective::{select_design, sumcheck_dse, DesignScore, SumcheckDseResult};
-pub use pareto::{global_pareto, pareto_front, ParetoPoint};
+pub use pareto::{pareto_front, ParetoPoint};
 pub use space::{full_system_dse, DseSpace, FullSystemPoint};

@@ -62,12 +62,6 @@ fn order_key(x: f64, what: &str) -> u64 {
     }
 }
 
-/// Merges per-bandwidth frontiers into the global frontier (the inset of
-/// Fig. 10).
-pub fn global_pareto(per_tier: &[Vec<ParetoPoint>]) -> Vec<ParetoPoint> {
-    pareto_front(per_tier.iter().flatten().copied().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,14 +103,6 @@ mod tests {
     fn all_nondominated_kept() {
         let front = pareto_front(vec![p(1.0, 30.0), p(2.0, 20.0), p(3.0, 10.0)]);
         assert_eq!(front.len(), 3);
-    }
-
-    #[test]
-    fn global_merges_tiers() {
-        let tier_a = vec![p(10.0, 100.0)];
-        let tier_b = vec![p(5.0, 150.0), p(12.0, 90.0)];
-        let global = global_pareto(&[tier_a, tier_b]);
-        assert_eq!(global.len(), 3);
     }
 
     #[test]

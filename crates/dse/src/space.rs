@@ -17,9 +17,36 @@
 //! * **PermQuotGen** — per tier, one simulation per FracMLE PE count; the
 //!   MLE Combine once per tier.
 //!
-//! The one per-point model call is the die area. Each point is kept as
-//! its runtime, area and linear index into the cross-product; only the
-//! points that reach a front are rebuilt into a [`ZkphireConfig`].
+//! **Pruning.** A point's runtime and area are built from the floats of
+//! three knob groups and of its tier:
+//!
+//! * SumCheck tuple — ZeroCheck, PermCheck, OpenCheck, batch-evaluation
+//!   and tree-product ms, the Forest area, the SumCheck area (lane deficit
+//!   included) and the scratchpad bytes;
+//! * MSM `(PEs, window)` × points per PE — dense and sparse MSM ms, the
+//!   MSM area and its SRAM MB;
+//! * FracMLE PEs — the PermQuotGen ms and area.
+//!
+//! Per tier, a tuple is dropped before the cross-product when a kept tuple
+//! of lower index in its group is `<=` in every one of those floats
+//! (dominance is transitive, so comparing against the kept tuples is
+//! enough). Only the product of the kept tuples is built, so
+//! [`ZkphireConfig::area`], the one per-point model call, runs only on it
+//! (and once per SumCheck tuple, for the two areas the prune reads). Each
+//! point keeps the linear index it has in the full cross-product, and
+//! points are built in index order.
+//!
+//! This leaves every front exactly as the full cross-product gives it.
+//! Runtime and area combine the group floats only by `+`, `max` and
+//! multiplication by positive constants, each monotone under IEEE
+//! rounding, so putting a pruned tuple's lower-index dominator in its
+//! place never raises either total and lowers the linear index. In
+//! [`pareto_front`]'s `(runtime, area, position)` order, every pruned
+//! point thus sorts after a kept point of no larger area: it could not
+//! reach the front, and any point it would keep off the front that kept
+//! point keeps off too.
+//! `evaluated` counts the whole cross-product. Only the points that
+//! reach a front are rebuilt into a [`ZkphireConfig`].
 
 use zkphire_core::forest::ForestConfig;
 use zkphire_core::memory::MemoryConfig;
@@ -122,7 +149,8 @@ pub struct FullSystemDse {
     pub tier_fronts: Vec<Vec<FullSystemPoint>>,
     /// The global frontier across all tiers.
     pub global_front: Vec<FullSystemPoint>,
-    /// Total configurations evaluated.
+    /// Configurations the sweep represents: the full cross-product,
+    /// pruned tuples included.
     pub evaluated: usize,
 }
 
@@ -152,6 +180,43 @@ struct MsmEntry {
     window_bits: usize,
     dense_ms: f64,
     sparse_ms: f64,
+}
+
+/// One point's end-to-end runtime (ms) from its step times, composed as
+/// `simulate_protocol` composes them.
+fn runtime_ms(
+    masking: bool,
+    witness_columns: usize,
+    sc: &ScEntry,
+    msm: &MsmEntry,
+    pq_ms: f64,
+    combine_ms: f64,
+) -> f64 {
+    let witness_ms = witness_columns as f64 * msm.sparse_ms;
+    let wiring_ms = 3.0 * msm.dense_ms;
+    let open_ms = 2.0 * msm.dense_ms;
+    let permquot_ms = pq_ms + sc.pi_build_ms;
+    let tail = sc.pc_ms + sc.batch_ms + sc.oc_ms + combine_ms + open_ms;
+    if masking {
+        witness_ms + permquot_ms + sc.zc_ms.max(wiring_ms) + tail
+    } else {
+        witness_ms + sc.zc_ms + permquot_ms + wiring_ms + tail
+    }
+}
+
+/// The indices, in order, of the tuples that no kept tuple of lower index
+/// matches or beats in every float.
+fn undominated<const N: usize>(floats: &[[f64; N]]) -> Vec<usize> {
+    let mut kept: Vec<usize> = Vec::new();
+    for (i, f) in floats.iter().enumerate() {
+        let dominated = kept
+            .iter()
+            .any(|&k| floats[k].iter().zip(f).all(|(a, b)| a <= b));
+        if !dominated {
+            kept.push(i);
+        }
+    }
+    kept
 }
 
 /// Runs the full-system DSE for a `2^mu`-gate workload.
@@ -279,34 +344,85 @@ pub fn full_system_dse(
             prime,
         };
 
-        // --- Cross-product assembly: each point by its linear index ---
+        // --- Prune each knob group by lower-index dominance ---
+        // The Forest and SumCheck areas depend on no other group, so they
+        // are read off `area()` with the other units left at the exemplar's.
+        let sc_floats: Vec<[f64; 8]> = sc_entries
+            .iter()
+            .map(|sc| {
+                let area = ZkphireConfig {
+                    sumcheck: sc.cfg,
+                    forest: sc.forest,
+                    prime,
+                    ..ZkphireConfig::exemplar()
+                }
+                .area();
+                [
+                    sc.zc_ms,
+                    sc.pc_ms,
+                    sc.oc_ms,
+                    sc.batch_ms,
+                    sc.pi_build_ms,
+                    area.forest,
+                    area.sumcheck,
+                    sc.cfg.scratch_bytes(),
+                ]
+            })
+            .collect();
+        // MSM × points per PE, indexed `msm_index * n_ppp + ppp_index`.
+        let msm_floats: Vec<[f64; 4]> = msm_entries
+            .iter()
+            .flat_map(|msm| {
+                space.points_per_pe.iter().map(move |&points_per_pe| {
+                    let cfg = MsmUnitConfig {
+                        pes: msm.pes,
+                        window_bits: msm.window_bits,
+                        points_per_pe,
+                    };
+                    [
+                        msm.dense_ms,
+                        msm.sparse_ms,
+                        cfg.area_mm2(prime),
+                        cfg.sram_mb(),
+                    ]
+                })
+            })
+            .collect();
+        let pq_floats: Vec<[f64; 2]> = pq_entries
+            .iter()
+            .map(|&(pes, pq_ms)| {
+                let cfg = PermQuotConfig {
+                    pes,
+                    inverse_units: PermQuotConfig::PAPER_INVERSE_UNITS,
+                };
+                [pq_ms, cfg.area_mm2(prime)]
+            })
+            .collect();
+        let (sc_kept, msm_kept, pq_kept) = (
+            undominated(&sc_floats),
+            undominated(&msm_floats),
+            undominated(&pq_floats),
+        );
+
+        // --- Cross-product of the kept tuples, in linear-index order ---
         let mut tier_points: Vec<ParetoPoint> =
-            Vec::with_capacity(sc_entries.len() * n_msm * n_ppp * n_frac);
-        for sc in &sc_entries {
-            for msm in &msm_entries {
-                for &ppp in &space.points_per_pe {
-                    for &(frac, pq_ms) in &pq_entries {
-                        let witness_ms = w as f64 * msm.sparse_ms;
-                        let wiring_ms = 3.0 * msm.dense_ms;
-                        let open_ms = 2.0 * msm.dense_ms;
-                        let permquot_ms = pq_ms + sc.pi_build_ms;
-                        let tail = sc.pc_ms + sc.batch_ms + sc.oc_ms + combine_ms + open_ms;
-                        let runtime_ms = if masking {
-                            witness_ms + permquot_ms + sc.zc_ms.max(wiring_ms) + tail
-                        } else {
-                            witness_ms + sc.zc_ms + permquot_ms + wiring_ms + tail
-                        };
-                        tier_points.push(ParetoPoint {
-                            runtime_ms,
-                            area_mm2: config(sc, msm, ppp, frac).area().total(),
-                            bandwidth_gbps: bw,
-                            config_index: tier_points.len(),
-                        });
-                    }
+            Vec::with_capacity(sc_kept.len() * msm_kept.len() * pq_kept.len());
+        for &s in &sc_kept {
+            let sc = &sc_entries[s];
+            for &g in &msm_kept {
+                let (msm, ppp) = (&msm_entries[g / n_ppp], space.points_per_pe[g % n_ppp]);
+                for &f in &pq_kept {
+                    let (frac, pq_ms) = pq_entries[f];
+                    tier_points.push(ParetoPoint {
+                        runtime_ms: runtime_ms(masking, w, sc, msm, pq_ms, combine_ms),
+                        area_mm2: config(sc, msm, ppp, frac).area().total(),
+                        bandwidth_gbps: bw,
+                        config_index: (s * n_msm * n_ppp + g) * n_frac + f,
+                    });
                 }
             }
         }
-        evaluated += tier_points.len();
+        evaluated += sc_entries.len() * n_msm * n_ppp * n_frac;
 
         // Only front points get their configuration back.
         let front = pareto_front(tier_points).into_iter().map(|p| {
@@ -323,17 +439,23 @@ pub fn full_system_dse(
         tier_fronts.push(front.collect::<Vec<_>>());
     }
 
-    // Global frontier across tiers.
-    let mut all: Vec<FullSystemPoint> = tier_fronts.iter().flatten().copied().collect();
-    all.sort_by(|a, b| a.runtime_ms.partial_cmp(&b.runtime_ms).expect("finite"));
-    let mut global_front = Vec::new();
-    let mut best_area = f64::INFINITY;
-    for p in all {
-        if p.area_mm2 < best_area {
-            best_area = p.area_mm2;
-            global_front.push(p);
-        }
-    }
+    // Global frontier: the front of the tier fronts, concatenated in tier
+    // order, each point keyed by its position there.
+    let all: Vec<FullSystemPoint> = tier_fronts.iter().flatten().copied().collect();
+    let global_front = pareto_front(
+        all.iter()
+            .enumerate()
+            .map(|(i, p)| ParetoPoint {
+                runtime_ms: p.runtime_ms,
+                area_mm2: p.area_mm2,
+                bandwidth_gbps: p.config.mem.bandwidth_gbps,
+                config_index: i,
+            })
+            .collect(),
+    )
+    .into_iter()
+    .map(|p| all[p.config_index])
+    .collect();
 
     FullSystemDse {
         tier_fronts,
@@ -345,6 +467,10 @@ pub fn full_system_dse(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use zkphire_core::sumcheck_unit::simulate_sumcheck;
 
     #[test]
     fn table3_space_size() {
@@ -406,6 +532,189 @@ mod tests {
             for p in front {
                 assert!(p.config.forest_covers_lanes());
             }
+        }
+    }
+
+    #[test]
+    fn undominated_keeps_what_no_lower_index_tuple_matches() {
+        let floats = [
+            [2.0, 1.0],  // kept: nothing precedes it
+            [1.0, 1.0],  // kept: it beats tuple 0, which comes first
+            [1.0, 1.0],  // an exact repeat of tuple 1
+            [3.0, 0.0],  // kept: no kept tuple is <= in the second float
+            [3.0, 1.0],  // dominated by tuples 0 and 1
+            [-0.0, 0.0], // kept: below every kept tuple in the first float
+            [0.0, -0.0], // equal to tuple 5 under `<=`
+        ];
+        assert_eq!(undominated(&floats), [0, 1, 3, 5]);
+    }
+
+    /// A knob list of one to `max_len - 1` entries drawn from a palette
+    /// of up to three of `values`, so repeats (and with them exact ties
+    /// between tuples) are common and the order is arbitrary.
+    fn knob_list<T: Copy>(rng: &mut StdRng, values: &[T], max_len: usize) -> Vec<T> {
+        let palette: Vec<T> = (0..rng.gen_range(1..4))
+            .map(|_| values[rng.gen_range(0..values.len())])
+            .collect();
+        (0..rng.gen_range(1..max_len))
+            .map(|_| palette[rng.gen_range(0..palette.len())])
+            .collect()
+    }
+
+    /// The sweep as the whole cross-product gives it: every point's step
+    /// times simulated afresh from its own configuration, nothing pruned,
+    /// one `pareto_front` per tier and one over all points of all tiers.
+    fn brute_force(
+        space: &DseSpace,
+        gate: Gate,
+        mu: usize,
+        masking: bool,
+        prime: PrimeMode,
+    ) -> (Vec<Vec<FullSystemPoint>>, Vec<FullSystemPoint>) {
+        let n = 1u64 << mu;
+        let w = gate.witness_columns();
+        let lists = [
+            &space.sumcheck_pes,
+            &space.ees,
+            &space.pls,
+            &space.bank_words,
+            &space.msm_pes,
+            &space.windows,
+            &space.points_per_pe,
+            &space.frac_pes,
+        ];
+        let per_tier = space.size() / space.bandwidths.len();
+        let (mut configs, mut all_points, mut tier_fronts) = (Vec::new(), Vec::new(), Vec::new());
+        for &bw in &space.bandwidths {
+            let mem = MemoryConfig::new(bw);
+            let mut points = Vec::new();
+            for i in 0..per_tier {
+                let mut knobs = [0usize; 8];
+                let mut rest = i;
+                for (knob, list) in knobs.iter_mut().zip(lists).rev() {
+                    *knob = list[rest % list.len()];
+                    rest /= list.len();
+                }
+                let [pes, ees, pls, bank_words, msm_pes, window_bits, points_per_pe, frac] = knobs;
+                let sumcheck = SumcheckUnitConfig {
+                    pes,
+                    ees,
+                    pls,
+                    bank_words,
+                    sparse_io: true,
+                };
+                let forest = forest_for(&sumcheck);
+                let cfg = ZkphireConfig {
+                    sumcheck,
+                    msm: MsmUnitConfig {
+                        pes: msm_pes,
+                        window_bits,
+                        points_per_pe,
+                    },
+                    forest,
+                    permquot: PermQuotConfig {
+                        pes: frac,
+                        inverse_units: PermQuotConfig::PAPER_INVERSE_UNITS,
+                    },
+                    combine: MleCombineConfig::default(),
+                    mem,
+                    prime,
+                };
+                let sc_ms = |profile| simulate_sumcheck(&profile, mu, &sumcheck, &mem).ms();
+                let sc = ScEntry {
+                    cfg: sumcheck,
+                    zc_ms: sc_ms(gate.zerocheck_profile()),
+                    pc_ms: sc_ms(gate.permcheck_profile()),
+                    oc_ms: sc_ms(gate.opencheck_profile()),
+                    forest,
+                    batch_ms: forest.batch_eval_cycles(gate.batch_eval_claims(), n, &mem) / 1e6,
+                    pi_build_ms: forest.tree_product_cycles(n, &mem) / 1e6,
+                };
+                let msm_ms = |scalars| simulate_msm(n, scalars, &cfg.msm, &mem).cycles / 1e6;
+                let msm = MsmEntry {
+                    pes: msm_pes,
+                    window_bits,
+                    dense_ms: msm_ms(ScalarProfile::Dense),
+                    sparse_ms: msm_ms(ScalarProfile::SparseWitness),
+                };
+                let pq_ms = simulate_permquot(mu, w, &cfg.permquot, &mem).cycles / 1e6;
+                let combine_ms = cfg.combine.combine_cycles(gate.distinct_polys(), n, &mem) / 1e6;
+                points.push(ParetoPoint {
+                    runtime_ms: runtime_ms(masking, w, &sc, &msm, pq_ms, combine_ms),
+                    area_mm2: cfg.area().total(),
+                    bandwidth_gbps: bw,
+                    config_index: configs.len(),
+                });
+                configs.push(cfg);
+            }
+            tier_fronts.push(pareto_front(points.clone()));
+            all_points.extend(points);
+        }
+        let materialize = |front: Vec<ParetoPoint>| {
+            front
+                .into_iter()
+                .map(|p| FullSystemPoint {
+                    config: configs[p.config_index],
+                    runtime_ms: p.runtime_ms,
+                    area_mm2: p.area_mm2,
+                })
+                .collect::<Vec<_>>()
+        };
+        let global_front = materialize(pareto_front(all_points));
+        (
+            tier_fronts.into_iter().map(materialize).collect(),
+            global_front,
+        )
+    }
+
+    /// A front as exact bits and `Debug` configurations.
+    fn exact(front: &[FullSystemPoint]) -> Vec<(u64, u64, String)> {
+        front
+            .iter()
+            .map(|p| {
+                let config = format!("{:?}", p.config);
+                (p.runtime_ms.to_bits(), p.area_mm2.to_bits(), config)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random sub-spaces of Table III, knob lists in arbitrary order
+        /// and with repeated values, give the brute-force fronts point
+        /// for point and configuration for configuration.
+        #[test]
+        fn pruned_sweep_equals_the_brute_force_cross_product(
+            seed in any::<u64>(),
+            mu in 12usize..21,
+            jellyfish in any::<bool>(),
+            masking in any::<bool>(),
+            fixed in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let table = DseSpace::default();
+            let space = DseSpace {
+                sumcheck_pes: knob_list(&mut rng, &table.sumcheck_pes, 3),
+                ees: knob_list(&mut rng, &table.ees, 3),
+                pls: knob_list(&mut rng, &table.pls, 3),
+                bank_words: knob_list(&mut rng, &table.bank_words, 3),
+                msm_pes: knob_list(&mut rng, &table.msm_pes, 4),
+                windows: knob_list(&mut rng, &table.windows, 4),
+                points_per_pe: knob_list(&mut rng, &table.points_per_pe, 4),
+                frac_pes: knob_list(&mut rng, &table.frac_pes, 4),
+                bandwidths: knob_list(&mut rng, &table.bandwidths, 3),
+            };
+            let gate = if jellyfish { Gate::Jellyfish } else { Gate::Vanilla };
+            let prime = if fixed { PrimeMode::Fixed } else { PrimeMode::Arbitrary };
+            let dse = full_system_dse(&space, gate, mu, masking, prime);
+            let (tier_fronts, global_front) = brute_force(&space, gate, mu, masking, prime);
+            prop_assert_eq!(dse.evaluated, space.size());
+            prop_assert_eq!(
+                dse.tier_fronts.iter().map(|f| exact(f)).collect::<Vec<_>>(),
+                tier_fronts.iter().map(|f| exact(f)).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(exact(&dse.global_front), exact(&global_front));
         }
     }
 }

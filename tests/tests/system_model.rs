@@ -132,28 +132,18 @@ fn higher_degree_gate_system_costs_more_sumcheck_share() {
     assert!(jellyfish.sumcheck_ms() > vanilla.sumcheck_ms());
 }
 
-/// Every tier-front and global-front point of the quick space, as the
-/// bits of its runtime and area plus its `Debug` configuration, hashed
-/// per `(gate, masking)`. The values were generated by the sweep that
-/// sorted with a stable `(runtime, area)` comparator and simulated each
-/// SumCheck anew on every call, so any change in which points reach a
-/// front, their order or their figures shows here.
+/// Every tier-front and global-front point of the quick space, hashed by
+/// `dse_fronts_hash` per `(gate, masking)`. The values were generated by
+/// the sweep that sorted with a stable `(runtime, area)` comparator and
+/// simulated each SumCheck anew on every call, so any change in which
+/// points reach a front, their order or their figures shows here.
 #[test]
 fn quick_sweep_fronts_are_bit_identical_to_the_pinned_sweep() {
     let mut got = Vec::new();
     for gate in [Gate::Jellyfish, Gate::Vanilla] {
         for masking in [true, false] {
             let dse = full_system_dse(&DseSpace::quick(), gate, 20, masking, PrimeMode::Arbitrary);
-            let mut bytes = Vec::new();
-            for front in dse.tier_fronts.iter().chain([&dse.global_front]) {
-                bytes.extend_from_slice(&(front.len() as u64).to_le_bytes());
-                for p in front {
-                    bytes.extend_from_slice(&p.runtime_ms.to_bits().to_le_bytes());
-                    bytes.extend_from_slice(&p.area_mm2.to_bits().to_le_bytes());
-                    bytes.extend_from_slice(format!("{:?}", p.config).as_bytes());
-                }
-            }
-            got.push((gate, masking, zkphire_tests::fnv1a(&bytes)));
+            got.push((gate, masking, zkphire_tests::dse_fronts_hash(&dse)));
         }
     }
     let want = [
@@ -163,4 +153,60 @@ fn quick_sweep_fronts_are_bit_identical_to_the_pinned_sweep() {
         (Gate::Vanilla, false, 0xa678_d8c5_21c6_cfc7),
     ];
     assert_eq!(got, want);
+}
+
+/// `dse_fronts_hash` of `space` at µ 20 for every gate × masking × prime,
+/// in that loop order.
+fn fronts_hashes(space: &DseSpace) -> Vec<u64> {
+    let mut got = Vec::new();
+    for gate in [Gate::Jellyfish, Gate::Vanilla] {
+        for masking in [true, false] {
+            for prime in [PrimeMode::Fixed, PrimeMode::Arbitrary] {
+                let dse = full_system_dse(space, gate, 20, masking, prime);
+                got.push(zkphire_tests::dse_fronts_hash(&dse));
+            }
+        }
+    }
+    got
+}
+
+/// The benchmark's `model_sweep` space: Table III with two MSM window
+/// sizes and one points-per-PE value. The values were generated by the
+/// sweep that built and sorted the whole cross-product of every tier.
+#[test]
+fn thinned_sweep_fronts_are_bit_identical_to_the_pinned_sweep() {
+    let space = DseSpace {
+        windows: vec![8, 10],
+        points_per_pe: vec![1 << 12],
+        ..DseSpace::default()
+    };
+    let want = [
+        0x53b3_f5e8_9b6b_c25b, // Jellyfish, masked, Fixed
+        0x2a56_ce77_3eae_17b6, // Jellyfish, masked, Arbitrary
+        0xde77_19d2_aef8_41a0, // Jellyfish, unmasked, Fixed
+        0x6b73_2408_4f96_f908, // Jellyfish, unmasked, Arbitrary
+        0xf3a1_09b7_d9eb_9255, // Vanilla, masked, Fixed
+        0x5412_ae29_1603_9274, // Vanilla, masked, Arbitrary
+        0x2d60_49be_a80a_83cd, // Vanilla, unmasked, Fixed
+        0xd2cd_e1bd_8397_ad33, // Vanilla, unmasked, Arbitrary
+    ];
+    assert_eq!(fronts_hashes(&space), want);
+}
+
+/// The whole Table III space (Fig. 10's sweep). The values were generated
+/// by the sweep that built and sorted the whole cross-product of every
+/// tier.
+#[test]
+fn full_sweep_fronts_are_bit_identical_to_the_pinned_sweep() {
+    let want = [
+        0x4ebe_70e5_d95e_7140, // Jellyfish, masked, Fixed
+        0xc8bd_edfe_729e_dff3, // Jellyfish, masked, Arbitrary
+        0x4f23_2946_c761_b3f9, // Jellyfish, unmasked, Fixed
+        0x638c_5a9a_5572_788f, // Jellyfish, unmasked, Arbitrary
+        0x2c04_fa9e_f240_07c2, // Vanilla, masked, Fixed
+        0x31b4_975e_d949_60fd, // Vanilla, masked, Arbitrary
+        0x0d1c_8a77_efde_e3e7, // Vanilla, unmasked, Fixed
+        0xe02d_ef8b_32d9_46f2, // Vanilla, unmasked, Arbitrary
+    ];
+    assert_eq!(fronts_hashes(&DseSpace::default()), want);
 }
